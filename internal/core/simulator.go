@@ -19,6 +19,7 @@ import (
 )
 
 // jobState is the simulator-side lifecycle record of one job.
+//
 //gm:statemirror snapJobs unsnapJobs
 type jobState struct {
 	job         workload.Job
@@ -84,6 +85,7 @@ type Result struct {
 }
 
 // Simulator executes one configured run. Create with New, execute with Run.
+//
 //gm:statemirror Live.Snapshot RestoreLive
 type Simulator struct {
 	cfg     Config //gm:ephemeral configuration, re-supplied by the caller at restore
@@ -106,28 +108,29 @@ type Simulator struct {
 	// simulator's hottest path. coverKey is the reusable key scratch
 	// buffer (one byte per node), so cache hits allocate nothing.
 	coverCache map[string][]storage.DiskID //gm:ephemeral memoization, rebuilt on demand
-	coverKey   []byte                       //gm:ephemeral reusable key scratch
+	coverKey   []byte                      //gm:ephemeral reusable key scratch
 
 	// Per-slot scratch state, sized once in New and reset — never
 	// reallocated — each slot, so the steady-state slot loop is
 	// allocation-free (asserted by the AllocsPerRun regression tests; the
 	// discipline is documented in docs/PROFILING.md). All of it is
 	// per-Simulator, keeping concurrent Runs race-free.
-	toStart     []*jobState    // start set assembled each slot //gm:ephemeral per-slot scratch
-	viewWaiting []sched.JobRef // backing array for View.Waiting //gm:ephemeral per-slot scratch
-	viewRunDef  []sched.JobRef // backing array for View.RunningDeferrable //gm:ephemeral per-slot scratch
-	waitingRefs []*jobState    // jobStates aligned with viewWaiting //gm:ephemeral per-slot scratch
-	runDefRefs  []*jobState    // jobStates aligned with viewRunDef //gm:ephemeral per-slot scratch
-	forecastBuf []units.Power  // PredictInto buffer //gm:ephemeral per-slot scratch
+	toStart     []*jobState            // start set assembled each slot //gm:ephemeral per-slot scratch
+	viewWaiting []sched.JobRef         // backing array for View.Waiting //gm:ephemeral per-slot scratch
+	viewRunDef  []sched.JobRef         // backing array for View.RunningDeferrable //gm:ephemeral per-slot scratch
+	waitingRefs []*jobState            // jobStates aligned with viewWaiting //gm:ephemeral per-slot scratch
+	runDefRefs  []*jobState            // jobStates aligned with viewRunDef //gm:ephemeral per-slot scratch
+	forecastBuf []units.Power          // PredictInto buffer //gm:ephemeral per-slot scratch
 	predictInto forecast.IntoPredictor //gm:ephemeral rebuilt by New from Config
-	needed      []bool       // node id -> must be powered //gm:ephemeral per-slot scratch
-	ioNodes     []bool       // node id -> hosts an I/O-bound job //gm:ephemeral per-slot scratch
-	keepMask    []bool       // flat disk index -> keep spinning
-	failedMask  []bool       // node id -> crashed, awaiting repair //gm:ephemeral derived mask, rebuilt from the Repairs snapshot at restore
-	cpuUtil     []float64    // node id -> CPU utilization //gm:ephemeral per-slot scratch
-	healthyPow  []int        // healthy powered node ids (fault path) //gm:ephemeral per-slot scratch
-	placer      sched.Placer // reusable FFD engine //gm:ephemeral stateless between slots
-	placeItems  []sched.PlaceItem //gm:ephemeral per-slot scratch
+	needed      []bool                 // node id -> must be powered //gm:ephemeral per-slot scratch
+	ioNodes     []bool                 // node id -> hosts an I/O-bound job //gm:ephemeral per-slot scratch
+	keepMask    []bool                 // flat disk index -> keep spinning
+	failedMask  []bool                 // node id -> crashed, awaiting repair //gm:ephemeral derived mask, rebuilt from the Repairs snapshot at restore
+	healthyMask []bool                 // node id -> not crashed (partition cover) //gm:ephemeral per-slot scratch
+	cpuUtil     []float64              // node id -> CPU utilization //gm:ephemeral per-slot scratch
+	healthyPow  []int                  // healthy powered node ids (fault path) //gm:ephemeral per-slot scratch
+	placer      sched.Placer           // reusable FFD engine //gm:ephemeral stateless between slots
+	placeItems  []sched.PlaceItem      //gm:ephemeral per-slot scratch
 
 	acct      metrics.EnergyAccount
 	sla       metrics.SLAAccount
@@ -257,6 +260,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.needed = make([]bool, nodes)
 	s.ioNodes = make([]bool, nodes)
 	s.failedMask = make([]bool, nodes)
+	s.healthyMask = make([]bool, nodes)
 	s.cpuUtil = make([]float64, nodes)
 	s.keepMask = make([]bool, nodes*cfg.Cluster.NodeProfile.DisksPerNode)
 	s.coverKey = make([]byte, nodes)
@@ -1026,23 +1030,6 @@ func (s *Simulator) degradedNow(t int) bool {
 	return len(s.repairAt) > 0 || s.faults.EventActive(t)
 }
 
-// coverageNow evaluates the replica-coverage predicate on the current fleet
-// state: every object reachable on a spinning disk of a powered node.
-func (s *Simulator) coverageNow() bool {
-	active := make(map[storage.DiskID]bool)
-	for _, n := range s.cluster.Nodes() {
-		if !n.Powered {
-			continue
-		}
-		for _, d := range n.Disks {
-			if d.SpunUp() {
-				active[d.ID] = true
-			}
-		}
-	}
-	return s.cluster.CoverageOK(active)
-}
-
 // trackDegradation advances the degradation episode state machine at the
 // end of slot t. Only called when fault injection is configured, so runs
 // without faults report an all-zero DegradeAccount by construction.
@@ -1058,7 +1045,7 @@ func (s *Simulator) trackDegradation(t int) {
 		if backlog > s.degrade.BacklogPeak {
 			s.degrade.BacklogPeak = backlog
 		}
-		if !s.coverageNow() {
+		if !s.cluster.SpinningCoverageOK() {
 			s.degrade.CoverageLossSlots++
 		}
 	case s.inEpisode:
@@ -1098,18 +1085,9 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 	s.prevSLA = s.sla
 
 	boots, shutdowns := 0, 0
-	active := make(map[storage.DiskID]bool)
 	for _, n := range s.cluster.Nodes() {
 		boots += n.Boots
 		shutdowns += n.Shutdowns
-		if !n.Powered {
-			continue
-		}
-		for _, d := range n.Disks {
-			if d.SpunUp() {
-				active[d.ID] = true
-			}
-		}
 	}
 	disk := s.cluster.DiskStatsTotal()
 
@@ -1159,7 +1137,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 		UnservedReads:     slaDelta.UnservedReads,
 		NodeFailures:      slaDelta.NodeFailures,
 		Evictions:         slaDelta.Evictions,
-		CoverageOK:        s.cluster.CoverageOK(active),
+		CoverageOK:        s.cluster.SpinningCoverageOK(),
 		FailedNodes:       len(s.repairAt),
 	}
 	if s.faults != nil {
@@ -1398,18 +1376,9 @@ func (s *Simulator) applyPowerPlan(spinDown bool) units.Energy {
 			if !ok {
 				// Failures left some objects with no reachable replica:
 				// cover what is coverable on every healthy node; the
-				// remainder shows up as unserved reads. This path only runs
-				// while a failure partitions the placement, so it may
-				// allocate.
-				healthy := make(map[int]bool)
-				for _, n := range s.cluster.Nodes() {
-					if !n.Failed {
-						healthy[n.ID] = true
-					}
-				}
-				partial, _ := s.cluster.PartialCoverOnNodes(healthy)
-				cover = partial
-				for _, id := range partial {
+				// remainder shows up as unserved reads.
+				cover = s.partialCover()
+				for _, id := range cover {
 					needed[id.Node] = true
 				}
 			}
@@ -1491,6 +1460,27 @@ func (s *Simulator) coveredOn(nodes []bool) ([]storage.DiskID, bool) {
 	}
 	s.coverCache[string(key)] = cover
 	return cover, true
+}
+
+// partialCover is the partition fallback of applyPowerPlan: a cover of
+// every object still reachable on a healthy node. It depends only on the
+// failed set, which changes on crash and repair events, while the fallback
+// runs on every full slot of a partition — so it is memoized in coverCache
+// too, under keys with bit 2 (value 4) set, disjoint from coveredOn's.
+func (s *Simulator) partialCover() []storage.DiskID {
+	key, healthy := s.coverKey, s.healthyMask
+	for n, failed := range s.failedMask {
+		key[n], healthy[n] = 4, !failed
+		if failed {
+			key[n] |= 2
+		}
+	}
+	if cached, ok := s.coverCache[string(key)]; ok {
+		return cached
+	}
+	cover, _ := s.cluster.PartialCoverOnNodeMask(healthy)
+	s.coverCache[string(key)] = cover
+	return cover
 }
 
 // markIOBusy marks disks busy on nodes hosting I/O-bound jobs (three per

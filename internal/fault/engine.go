@@ -22,6 +22,7 @@ type Crash struct {
 // whether the battery is functional, and what forecast the scheduler is
 // shown. An Engine is single-use and not safe for concurrent use (it owns
 // rng streams), matching the Simulator it is embedded in.
+//
 //gm:statemirror State RestoreEngine
 type Engine struct {
 	cfg       Config

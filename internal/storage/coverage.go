@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"sort"
-
 	"repro/internal/units"
 )
 
@@ -26,169 +24,166 @@ func (c *Cluster) CoverageOK(active map[DiskID]bool) bool {
 	return true
 }
 
-// greedyCover runs the classic greedy set-cover heuristic (ln n
-// approximation) over the disks for which allowed returns true: repeatedly
-// take the disk covering the most still-uncovered objects, ties broken on
-// lowest DiskID for determinism. It returns (nil, false) when the allowed
-// disks cannot cover every object. The returned slice is sorted by DiskID.
-//
-// The implementation is deliberately allocation-light — a []bool uncovered
-// mask and integer counters — because the simulator calls it once per slot
-// on clusters with hundreds of disks and thousands of objects.
-func (c *Cluster) greedyCover(allowed func(n *Node) bool) ([]DiskID, bool) {
-	uncovered := make([]bool, len(c.placement))
-	remaining := 0
-	for obj, reps := range c.placement {
-		if len(reps) == 0 {
+// SpinningCoverageOK is CoverageOK over the cluster's current state: every
+// object has a replica on a spun-up disk of a powered node. It reads the
+// disk and node states directly instead of a materialized active set, so
+// per-slot callers allocate nothing.
+func (c *Cluster) SpinningCoverageOK() bool {
+	// Flatten the spin state into a mask (node*DisksPerNode+disk) first:
+	// the per-replica test is then one byte load instead of a chase
+	// through node and disk pointers. The fixed-size backing stays on the
+	// stack for any fleet up to its size.
+	perNode := c.cfg.NodeProfile.DisksPerNode
+	var buf [2048]bool
+	var spinning []bool
+	if n := len(c.nodes) * perNode; n <= len(buf) {
+		spinning = buf[:n]
+	} else {
+		spinning = make([]bool, n)
+	}
+	for _, n := range c.nodes {
+		if !n.Powered {
 			continue
 		}
-		has := false
+		for k, d := range n.Disks {
+			spinning[n.ID*perNode+k] = d.SpunUp()
+		}
+	}
+	for _, reps := range c.placement {
+		covered := len(reps) == 0
 		for _, id := range reps {
-			if allowed(c.nodes[id.Node]) {
-				has = true
+			if spinning[id.Node*perNode+id.Disk] {
+				covered = true
 				break
 			}
 		}
-		if !has {
-			return nil, false
-		}
-		uncovered[obj] = true
-		remaining++
-	}
-	var chosen []DiskID
-	for remaining > 0 {
-		var best *Disk
-		bestGain := 0
-		for _, n := range c.nodes {
-			if !allowed(n) {
-				continue
-			}
-			for _, d := range n.Disks {
-				gain := 0
-				for _, obj := range d.Objects {
-					if uncovered[obj] {
-						gain++
-					}
-				}
-				if gain > bestGain || (gain == bestGain && gain > 0 && lessDisk(d.ID, best.ID)) {
-					best = d
-					bestGain = gain
-				}
-			}
-		}
-		if best == nil || bestGain == 0 {
-			// Unreachable for a well-formed placement: every uncovered
-			// object has a replica on some allowed disk.
-			return nil, false
-		}
-		chosen = append(chosen, best.ID)
-		for _, obj := range best.Objects {
-			if uncovered[obj] {
-				uncovered[obj] = false
-				remaining--
-			}
+		if !covered {
+			return false
 		}
 	}
-	sort.Slice(chosen, func(i, j int) bool { return lessDisk(chosen[i], chosen[j]) })
-	return chosen, true
+	return true
 }
 
-// MinimalCover computes a small set of disks that covers every object,
-// considering all nodes regardless of power state (the caller powers the
-// hosting nodes as needed).
-func (c *Cluster) MinimalCover() []DiskID {
-	cover, ok := c.greedyCover(func(*Node) bool { return true })
-	if !ok {
-		// Only possible with zero objects, where greedyCover returns an
-		// empty cover successfully; defensive fallback.
-		return nil
-	}
-	return cover
-}
-
-// CoverOnNodes computes a cover restricted to the given node set. The
-// second return is false when the node set cannot cover all objects (some
-// object has no replica there); policies use this to check whether a
-// consolidation plan is compatible with availability.
-func (c *Cluster) CoverOnNodes(nodes map[int]bool) ([]DiskID, bool) {
-	return c.greedyCover(func(n *Node) bool { return nodes[n.ID] })
-}
-
-// CoverOnNodeMask is CoverOnNodes with the node set given as a mask indexed
-// by node id, the representation the simulator's per-slot scratch state
-// uses. A short mask reads as false for the missing tail.
-func (c *Cluster) CoverOnNodeMask(nodes []bool) ([]DiskID, bool) {
-	return c.greedyCover(func(n *Node) bool { return n.ID < len(nodes) && nodes[n.ID] })
-}
-
-// PartialCoverOnNodes covers every object that still has a replica on an
-// allowed node and reports how many objects are uncoverable (all replicas
-// on disallowed — e.g. failed — nodes). Used by the failure-injection path,
-// where full coverage may be temporarily impossible.
-func (c *Cluster) PartialCoverOnNodes(nodes map[int]bool) ([]DiskID, int) {
-	allowed := func(n *Node) bool { return nodes[n.ID] }
+// greedyCover runs the classic greedy set-cover heuristic (ln n
+// approximation) over the disks of the nodes allowed by the mask (indexed
+// by node id; a short mask reads as false for the missing tail):
+// repeatedly take the disk covering the most still-uncovered objects, ties
+// broken on lowest DiskID for determinism. It returns the cover sorted by
+// DiskID and the number of uncoverable objects — those with every replica
+// on a disallowed node. Unless partial is set, it gives up with
+// (nil, uncoverable>0) at the first such object.
+//
+// Gains are maintained incrementally: each allowed disk starts at its
+// object count (every object on an allowed disk is coverable), and covering
+// an object decrements the gain of each of its replica disks. A pick is
+// then one pass over the flat gain array (node*DisksPerNode+disk, i.e.
+// DiskID order), taking the first maximum — the same disk the textbook
+// full rescan picks, so the cover is identical disk for disk.
+func (c *Cluster) greedyCover(allowed []bool, partial bool) ([]DiskID, int) {
+	ok := func(node int) bool { return node < len(allowed) && allowed[node] }
 	uncovered := make([]bool, len(c.placement))
-	remaining := 0
-	uncoverable := 0
+	remaining, uncoverable := 0, 0
 	for obj, reps := range c.placement {
 		if len(reps) == 0 {
 			continue
 		}
 		has := false
 		for _, id := range reps {
-			if allowed(c.nodes[id.Node]) {
+			if ok(id.Node) {
 				has = true
 				break
 			}
 		}
 		if !has {
 			uncoverable++
+			if !partial {
+				return nil, uncoverable
+			}
 			continue
 		}
 		uncovered[obj] = true
 		remaining++
 	}
-	var chosen []DiskID
+	perNode := c.cfg.NodeProfile.DisksPerNode
+	gain := make([]int32, len(c.nodes)*perNode)
+	for _, n := range c.nodes {
+		if !ok(n.ID) {
+			continue
+		}
+		for _, d := range n.Disks {
+			gain[n.ID*perNode+d.ID.Disk] = int32(len(d.Objects))
+		}
+	}
+	picked, picks := make([]bool, len(gain)), 0
 	for remaining > 0 {
-		var best *Disk
-		bestGain := 0
-		for _, n := range c.nodes {
-			if !allowed(n) {
-				continue
-			}
-			for _, d := range n.Disks {
-				gain := 0
-				for _, obj := range d.Objects {
-					if uncovered[obj] {
-						gain++
-					}
-				}
-				if gain > bestGain || (gain == bestGain && gain > 0 && lessDisk(d.ID, best.ID)) {
-					best = d
-					bestGain = gain
-				}
+		best, bestGain := -1, int32(0)
+		for i, g := range gain {
+			if g > bestGain {
+				best, bestGain = i, g
 			}
 		}
-		if best == nil || bestGain == 0 {
+		if best < 0 {
+			// Unreachable for a well-formed placement: every uncovered
+			// object has a replica on some allowed disk.
 			break
 		}
-		chosen = append(chosen, best.ID)
-		for _, obj := range best.Objects {
-			if uncovered[obj] {
-				uncovered[obj] = false
-				remaining--
+		picked[best] = true
+		picks++
+		for _, obj := range c.nodes[best/perNode].Disks[best%perNode].Objects {
+			if !uncovered[obj] {
+				continue
+			}
+			uncovered[obj] = false
+			remaining--
+			// Disallowed disks start at 0 and only go negative, so they
+			// are never picked and need no mask check here.
+			for _, id := range c.placement[obj] {
+				gain[id.Node*perNode+id.Disk]--
 			}
 		}
 	}
-	sort.Slice(chosen, func(i, j int) bool { return lessDisk(chosen[i], chosen[j]) })
-	return chosen, uncoverable
+	// Flat order is DiskID order, so the cover comes out sorted.
+	cover := make([]DiskID, 0, picks)
+	for i, p := range picked {
+		if p {
+			cover = append(cover, DiskID{Node: i / perNode, Disk: i % perNode})
+		}
+	}
+	return cover, uncoverable
 }
 
-func lessDisk(a, b DiskID) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
+// MinimalCover computes a small set of disks that covers every object,
+// considering all nodes regardless of power state (the caller powers the
+// hosting nodes as needed).
+func (c *Cluster) MinimalCover() []DiskID {
+	all := make([]bool, len(c.nodes))
+	for i := range all {
+		all[i] = true
 	}
-	return a.Disk < b.Disk
+	cover, _ := c.greedyCover(all, false)
+	return cover
+}
+
+// CoverOnNodeMask computes a cover restricted to the node set given as a
+// mask indexed by node id (a short mask reads as false for the missing
+// tail). The second return is false when the node set cannot cover all
+// objects (some object has no replica there); policies use this to check
+// whether a consolidation plan is compatible with availability.
+func (c *Cluster) CoverOnNodeMask(nodes []bool) ([]DiskID, bool) {
+	cover, uncoverable := c.greedyCover(nodes, false)
+	if uncoverable > 0 {
+		return nil, false
+	}
+	return cover, true
+}
+
+// PartialCoverOnNodeMask covers every object that still has a replica on a
+// node of the mask and reports how many objects are uncoverable (all
+// replicas on disallowed — e.g. failed — nodes). Used by the
+// failure-injection path, where full coverage may be temporarily
+// impossible.
+func (c *Cluster) PartialCoverOnNodeMask(nodes []bool) ([]DiskID, int) {
+	return c.greedyCover(nodes, true)
 }
 
 // ApplyDiskPlan spins disks up or down so that exactly the disks in keep

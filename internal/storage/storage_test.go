@@ -189,20 +189,37 @@ func TestCoverageFailsWhenNodeUnpowered(t *testing.T) {
 	}
 }
 
-func TestCoverOnNodes(t *testing.T) {
-	c := MustNewCluster(smallConfig())
-	all := make(map[int]bool)
-	for _, n := range c.Nodes() {
-		all[n.ID] = true
+// nodeMask returns a node mask over c with exactly the given nodes set.
+func nodeMask(c *Cluster, on ...int) []bool {
+	m := make([]bool, len(c.Nodes()))
+	for _, n := range on {
+		m[n] = true
 	}
-	cover, ok := c.CoverOnNodes(all)
+	return m
+}
+
+// allNodes returns a node mask over c with every node set.
+func allNodes(c *Cluster) []bool {
+	m := make([]bool, len(c.Nodes()))
+	for i := range m {
+		m[i] = true
+	}
+	return m
+}
+
+func TestCoverOnNodeMask(t *testing.T) {
+	c := MustNewCluster(smallConfig())
+	cover, ok := c.CoverOnNodeMask(allNodes(c))
 	if !ok || len(cover) == 0 {
 		t.Fatal("full node set must cover")
 	}
 	// A single node cannot host a replica of every object at r=3/6 nodes.
-	_, ok = c.CoverOnNodes(map[int]bool{0: true})
-	if ok {
+	if _, ok = c.CoverOnNodeMask(nodeMask(c, 0)); ok {
 		t.Error("single node should not cover a 6-node r=3 layout")
+	}
+	// A short mask reads as false for the missing tail.
+	if _, ok = c.CoverOnNodeMask([]bool{true}); ok {
+		t.Error("short mask should read as the single node 0")
 	}
 }
 
@@ -455,13 +472,9 @@ func TestFailNode(t *testing.T) {
 	}
 }
 
-func TestPartialCoverOnNodes(t *testing.T) {
+func TestPartialCoverOnNodeMask(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	all := make(map[int]bool)
-	for _, n := range c.Nodes() {
-		all[n.ID] = true
-	}
-	cover, uncoverable := c.PartialCoverOnNodes(all)
+	cover, uncoverable := c.PartialCoverOnNodeMask(allNodes(c))
 	if uncoverable != 0 {
 		t.Fatalf("healthy cluster has %d uncoverable objects", uncoverable)
 	}
@@ -470,8 +483,7 @@ func TestPartialCoverOnNodes(t *testing.T) {
 	}
 	// Restrict to a single node: most objects become uncoverable, but the
 	// cover still covers what it can.
-	one := map[int]bool{0: true}
-	cover1, unc1 := c.PartialCoverOnNodes(one)
+	cover1, unc1 := c.PartialCoverOnNodeMask(nodeMask(c, 0))
 	if unc1 == 0 {
 		t.Fatal("single node should leave objects uncoverable at r=3/6 nodes")
 	}
@@ -500,13 +512,9 @@ func TestPartialCoverOnNodes(t *testing.T) {
 func TestCoverageExcludesFailedNodes(t *testing.T) {
 	c := MustNewCluster(smallConfig())
 	c.FailNode(0)
-	healthy := make(map[int]bool)
-	for _, n := range c.Nodes() {
-		if !n.Failed {
-			healthy[n.ID] = true
-		}
-	}
-	cover, unc := c.PartialCoverOnNodes(healthy)
+	healthy := allNodes(c)
+	healthy[0] = false
+	cover, unc := c.PartialCoverOnNodeMask(healthy)
 	for _, id := range cover {
 		if id.Node == 0 {
 			t.Fatal("cover placed on failed node")
