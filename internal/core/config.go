@@ -143,13 +143,23 @@ func DefaultGreen(areaM2 float64) solar.Series {
 
 // DefaultConfig returns the reference scenario used across the experiment
 // suite: the default cluster, the reference week trace, a sized solar farm,
-// a Perfect forecaster, no battery, Baseline policy.
+// a Perfect forecaster, no battery, Baseline policy. It is BaseConfig plus
+// the reference trace and supply.
 func DefaultConfig() Config {
+	cfg := BaseConfig()
+	cfg.Trace = workload.MustGenerate(workload.DefaultGen())
+	cfg.Green = DefaultGreen(165.6)
+	return cfg
+}
+
+// BaseConfig returns DefaultConfig's parameter defaults without a workload
+// trace or a renewable supply, for callers that build both themselves and
+// would otherwise generate the reference ones only to discard them. The
+// result does not validate until Trace and Green are set.
+func BaseConfig() Config {
 	return Config{
 		SlotHours:         1,
 		Cluster:           storage.DefaultConfig(),
-		Trace:             workload.MustGenerate(workload.DefaultGen()),
-		Green:             DefaultGreen(165.6),
 		Forecaster:        forecast.Perfect{},
 		BatterySpec:       battery.MustSpec(battery.LithiumIon),
 		BatteryCapacityWh: 0,

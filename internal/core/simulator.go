@@ -1499,7 +1499,7 @@ func (s *Simulator) markIOBusy() units.Energy {
 			if !d.SpunUp() {
 				e += d.SpinUp()
 			}
-			d.MarkBusy()
+			s.cluster.MarkBusy(d)
 		}
 	}
 	return e

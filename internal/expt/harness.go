@@ -179,7 +179,7 @@ func baseScenario(p Params) core.Config {
 	cl.Objects = maxi(100, int(math.Round(3000*s)))
 	gen := workload.Scaled(s)
 	gen.Seed = p.seed()
-	cfg := core.DefaultConfig()
+	cfg := core.BaseConfig()
 	cfg.Cluster = cl
 	cfg.Trace = workload.MustGenerate(gen)
 	cfg.ReadsPerSlot = 200 * s

@@ -122,6 +122,14 @@ func (s *Stream) Exp(rate float64) float64 {
 // (rounded, floored at zero) for large means, which is accurate to well
 // within the needs of workload generation.
 func (s *Stream) Poisson(mean float64) int {
+	return s.PoissonExp(mean, math.Exp(-mean))
+}
+
+// PoissonExp is Poisson with the product method's limit expNeg =
+// math.Exp(-mean) supplied by the caller, for callers that draw many times
+// at one fixed mean and compute the constant once. Given that expNeg it
+// returns exactly what Poisson(mean) returns and consumes the same draws.
+func (s *Stream) PoissonExp(mean, expNeg float64) int {
 	if mean <= 0 {
 		return 0
 	}
@@ -132,12 +140,11 @@ func (s *Stream) Poisson(mean float64) int {
 		}
 		return int(v)
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {
 		p *= s.r.Float64()
-		if p <= l {
+		if p <= expNeg {
 			return k
 		}
 		k++

@@ -82,6 +82,24 @@ func TestPoissonNonNegative(t *testing.T) {
 	}
 }
 
+// TestPoissonExpMatchesPoisson requires the precomputed-limit entry point
+// to return the same draws and consume the same source steps as Poisson,
+// on both sides of the normal-approximation cutoff.
+func TestPoissonExpMatchesPoisson(t *testing.T) {
+	for _, mean := range []float64{-1, 0, 0.1, 1, 7.5, 64, 64.5, 300} {
+		a, b := New(11, "poisson-exp"), New(11, "poisson-exp")
+		expNeg := math.Exp(-mean)
+		for i := 0; i < 2000; i++ {
+			if x, y := a.Poisson(mean), b.PoissonExp(mean, expNeg); x != y {
+				t.Fatalf("mean %v draw %d: Poisson %d, PoissonExp %d", mean, i, x, y)
+			}
+		}
+		if a.Draws() != b.Draws() {
+			t.Fatalf("mean %v: Poisson consumed %d draws, PoissonExp %d", mean, a.Draws(), b.Draws())
+		}
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	s := New(7, "exp")
 	rate := 2.0

@@ -157,6 +157,13 @@ type Cluster struct {
 	cfg       Config //gm:ephemeral configuration, re-supplied by NewCluster at restore
 	nodes     []*Node
 	placement [][]DiskID // object id -> replica disk ids //gm:ephemeral pure function of Config (deterministic rendezvous hash)
+	// busy lists the disks marked busy this slot, each once; active lists
+	// the disks the last ResetSlot (or RestoreState) left Active. Every
+	// Active disk is in active, so ResetSlot needs to touch only these
+	// two lists. Both are sized to the disk count at construction and
+	// never grow past it.
+	busy   []*Disk //gm:ephemeral per-slot scratch, always empty at slot boundaries
+	active []*Disk //gm:ephemeral derived from disk states, rebuilt by RestoreState
 }
 
 // NewCluster builds a cluster with every node powered on, all disks idle,
@@ -186,17 +193,29 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	cfg.Nodes = len(specs)
 
-	c := &Cluster{cfg: cfg}
-	c.nodes = make([]*Node, cfg.Nodes)
+	per := cfg.NodeProfile.DisksPerNode
+	total := cfg.Nodes * per
+	c := &Cluster{
+		cfg:    cfg,
+		nodes:  make([]*Node, cfg.Nodes),
+		busy:   make([]*Disk, 0, total),
+		active: make([]*Disk, 0, total),
+	}
+	// The disks live in one node-major slab that every Node.Disks points
+	// into, so the per-slot scans walk contiguous memory.
+	slab := make([]Disk, total)
+	ptrs := make([]*Disk, total)
 	for n := range specs {
 		node := &Node{ID: n, Tier: specs[n].tier, Server: specs[n].server, Powered: true}
-		node.Disks = make([]*Disk, cfg.NodeProfile.DisksPerNode)
-		for d := 0; d < cfg.NodeProfile.DisksPerNode; d++ {
-			node.Disks[d] = &Disk{
+		node.Disks = ptrs[n*per : (n+1)*per : (n+1)*per]
+		for d := range node.Disks {
+			disk := &slab[n*per+d]
+			*disk = Disk{
 				ID:      DiskID{Node: n, Disk: d},
 				Profile: specs[n].disk,
 				State:   power.DiskIdle,
 			}
+			node.Disks[d] = disk
 		}
 		c.nodes[n] = node
 	}
@@ -403,26 +422,11 @@ func (c *Cluster) PoweredNodes() []int {
 	return out
 }
 
-// SlotDraw returns the cluster's power draw this slot, given per-node CPU
-// utilization in [0,1] (missing entries read as zero). Powered-off nodes
-// draw nothing.
-func (c *Cluster) SlotDraw(cpuUtil map[int]float64) units.Power {
-	var total units.Power
-	for _, n := range c.nodes {
-		if !n.Powered {
-			continue
-		}
-		total += n.Server.Draw(cpuUtil[n.ID])
-		for _, d := range n.Disks {
-			total += d.SlotDraw()
-		}
-	}
-	return total
-}
-
-// SlotDrawUtil is SlotDraw with utilization indexed by node id instead of a
-// map, so per-slot callers can reuse one buffer. A short slice reads as zero
-// utilization for the missing tail.
+// SlotDrawUtil returns the cluster's power draw this slot, given per-node
+// CPU utilization in [0,1] indexed by node id, so per-slot callers can reuse
+// one buffer. A short slice reads as zero utilization for the missing tail.
+// Powered-off nodes draw nothing. The sum runs node-major: each node's
+// server term, then its disks in slot order.
 func (c *Cluster) SlotDrawUtil(cpuUtil []float64) units.Power {
 	var total units.Power
 	for _, n := range c.nodes {
@@ -453,13 +457,36 @@ func (c *Cluster) PoweredNodeCount() int {
 	return count
 }
 
-// ResetSlot clears per-slot disk activity across the cluster.
+// MarkBusy records that d serves I/O this slot. A disk enters the busy
+// list at most once per slot, so the list never outgrows the capacity it
+// was given at construction and marking never allocates.
+func (c *Cluster) MarkBusy(d *Disk) {
+	if d.busy {
+		return
+	}
+	d.busy = true
+	c.busy = append(c.busy, d)
+}
+
+// ResetSlot clears per-slot disk activity and settles the steady state: a
+// busy spinning disk becomes Active, a quiet spinning disk Idle. Only the
+// disks marked busy this slot and those the previous reset left Active can
+// change, so it touches just those two lists, not the whole fleet.
 func (c *Cluster) ResetSlot() {
-	for _, n := range c.nodes {
-		for _, d := range n.Disks {
-			d.ResetSlot()
+	for _, d := range c.active {
+		if d.State == power.DiskActive {
+			d.State = power.DiskIdle
 		}
 	}
+	c.active = c.active[:0]
+	for _, d := range c.busy {
+		if d.SpunUp() {
+			d.State = power.DiskActive
+			c.active = append(c.active, d)
+		}
+		d.busy = false
+	}
+	c.busy = c.busy[:0]
 }
 
 // DiskStatsTotal aggregates disk stats across the cluster.

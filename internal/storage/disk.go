@@ -54,8 +54,8 @@ type Disk struct {
 	// Stats accumulates activity.
 	Stats DiskStats
 	// busy marks the disk as having served I/O in the current slot; the
-	// cluster uses it to decide Active vs Idle draw, and clears it each
-	// slot.
+	// cluster sets it in MarkBusy, uses it to decide Active vs Idle draw,
+	// and clears it in ResetSlot.
 	busy bool //gm:ephemeral per-slot scratch, always clear at slot boundaries
 }
 
@@ -92,30 +92,16 @@ func (d *Disk) SpinUp() units.Energy {
 	return e
 }
 
-// MarkBusy records that the disk serves I/O this slot.
-func (d *Disk) MarkBusy() { d.busy = true }
-
-// ResetSlot clears per-slot activity markers and settles the steady state:
-// a busy spinning disk was Active, a quiet spinning disk Idle.
-func (d *Disk) ResetSlot() {
-	if d.SpunUp() {
-		if d.busy {
-			d.State = power.DiskActive
-		} else {
-			d.State = power.DiskIdle
-		}
-	}
-	d.busy = false
-}
-
 // SlotDraw returns the steady-state power draw for the current slot, given
-// whether the disk served I/O.
+// whether the disk served I/O. It reads the profile's fields in place
+// rather than through DiskProfile.Draw, which copies the profile and does
+// not inline.
 func (d *Disk) SlotDraw() units.Power {
 	if !d.SpunUp() {
-		return d.Profile.Draw(power.DiskStandby)
+		return d.Profile.StandbyW
 	}
 	if d.busy {
-		return d.Profile.Draw(power.DiskActive)
+		return d.Profile.ActiveW
 	}
-	return d.Profile.Draw(power.DiskIdle)
+	return d.Profile.IdleW
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -16,6 +17,8 @@ import (
 //gm:statemirror State RestoreState
 type ReadModel struct {
 	// ReadsPerSlot is the mean read count per slot (Poisson-distributed).
+	// It is fixed at construction: NewReadModel derives the Poisson
+	// constant from it once, so it must not be written afterwards.
 	ReadsPerSlot float64 //gm:ephemeral configuration, not state
 	// Theta is the Zipf exponent of object popularity.
 	Theta float64 //gm:ephemeral configuration, not state
@@ -28,6 +31,9 @@ type ReadModel struct {
 
 	zipf   *rng.Zipf //gm:ephemeral rebuilt from the restored stream; position is determined by Draws
 	stream *rng.Stream
+	// expNeg is exp(-ReadsPerSlot), the Poisson product-loop limit,
+	// computed once instead of on every slot.
+	expNeg float64 //gm:ephemeral derived from ReadsPerSlot at construction
 }
 
 // NewReadModel builds a read model over the cluster's objects.
@@ -43,6 +49,7 @@ func NewReadModel(c *Cluster, readsPerSlot, theta float64, seed int64) (*ReadMod
 		ReadsPerSlot:  readsPerSlot,
 		Theta:         theta,
 		BaseLatencyMs: 8,
+		expNeg:        math.Exp(-readsPerSlot),
 		zipf:          rng.NewZipf(stream, c.Config().Objects, theta),
 		stream:        stream,
 	}, nil
@@ -71,7 +78,7 @@ func (m *ReadModel) Step(c *Cluster) SlotReadResult {
 	if m.zipf == nil || m.ReadsPerSlot == 0 {
 		return res
 	}
-	n := m.stream.Poisson(m.ReadsPerSlot)
+	n := m.stream.PoissonExp(m.ReadsPerSlot, m.expNeg)
 	res.Reads = n
 	for i := 0; i < n; i++ {
 		obj := m.zipf.Next()
@@ -110,7 +117,7 @@ func (m *ReadModel) Step(c *Cluster) SlotReadResult {
 			continue
 		}
 		served.Stats.Reads++
-		served.MarkBusy()
+		c.MarkBusy(served)
 		if m.Latencies != nil {
 			lat := m.BaseLatencyMs
 			if cold {

@@ -13,7 +13,9 @@ import (
 // object placement map are pure functions of Config, so a snapshot is
 // restored onto a freshly built cluster of the same Config and the
 // placement falls out identical. Per-slot scratch (the disks' busy
-// markers) is always clear at slot boundaries and is deliberately absent.
+// markers and the cluster's busy list) is always clear at slot boundaries
+// and is deliberately absent; the Active list is derived from the restored
+// disk states.
 
 // DiskSnap is one disk's mutable state.
 type DiskSnap struct {
@@ -75,6 +77,8 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	if len(st.Nodes) != len(c.nodes) {
 		return fmt.Errorf("storage: snapshot has %d nodes, cluster has %d", len(st.Nodes), len(c.nodes))
 	}
+	c.busy = c.busy[:0]
+	c.active = c.active[:0]
 	for i, ns := range st.Nodes {
 		n := c.nodes[i]
 		if len(ns.Disks) != len(n.Disks) {
@@ -96,6 +100,9 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 				ColdReads:        ds.ColdReads,
 			}
 			d.busy = false
+			if d.State == power.DiskActive {
+				c.active = append(c.active, d)
+			}
 		}
 	}
 	return nil

@@ -279,7 +279,7 @@ func TestNodePowerCycle(t *testing.T) {
 
 func TestSlotDraw(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	allOn := c.SlotDraw(nil)
+	allOn := c.SlotDrawUtil(nil)
 	np := c.Config().NodeProfile
 	// All nodes idle, all disks idle.
 	want := units.Power(float64(np.Server.IdleW)*6 + float64(np.Disk.IdleW)*float64(6*np.DisksPerNode))
@@ -287,13 +287,13 @@ func TestSlotDraw(t *testing.T) {
 		t.Fatalf("idle draw %v, want %v", allOn, want)
 	}
 	// Full CPU on node 0 adds peak-idle difference.
-	withLoad := c.SlotDraw(map[int]float64{0: 1})
+	withLoad := c.SlotDrawUtil([]float64{1})
 	if withLoad != want+(np.Server.PeakW-np.Server.IdleW) {
 		t.Fatalf("loaded draw %v", withLoad)
 	}
 	// Powering a node off removes its full contribution.
 	c.PowerOffNode(5)
-	offDraw := c.SlotDraw(nil)
+	offDraw := c.SlotDrawUtil(nil)
 	if offDraw >= allOn {
 		t.Fatal("powering off a node did not reduce draw")
 	}
@@ -305,15 +305,15 @@ func TestDiskSlotLifecycle(t *testing.T) {
 	if !d.SpunUp() {
 		t.Fatal("disks start idle (spinning)")
 	}
-	d.MarkBusy()
+	c.MarkBusy(d)
 	if d.SlotDraw() != d.Profile.ActiveW {
 		t.Fatal("busy spinning disk should draw active power")
 	}
-	d.ResetSlot()
+	c.ResetSlot()
 	if d.State != power.DiskActive {
 		t.Fatal("busy disk settles to active")
 	}
-	d.ResetSlot()
+	c.ResetSlot()
 	if d.State != power.DiskIdle {
 		t.Fatal("quiet disk settles to idle")
 	}
