@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -198,5 +201,48 @@ func TestFastStepAllocFree(t *testing.T) {
 	}
 	if sim.fastSlots < 100 {
 		t.Fatalf("fast kernel ran %d slots; want >= 100", sim.fastSlots)
+	}
+}
+
+// TestFastForwardSeriesGolden pins the per-slot series of the sparse
+// fast-path configs, with and without slot skipping, against digests
+// written before the fast and full slot tails were merged. The
+// equivalence test above only compares the two paths within one build; a
+// recording bug both shared would pass it but not this.
+func TestFastForwardSeriesGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func() Config
+		want string
+	}{
+		{"sparse", sparseTraceConfig, "1d09b6a8ede4d3e0a033c90059eda1311d5075a2a6f121f6b36a3b1d80d551da"},
+		{"sparse-mtbf", func() Config {
+			cfg := sparseTraceConfig()
+			cfg.Faults.CrashMTBFHours = 150 // crashes on both paths
+			return cfg
+		}, "e2a6f72c6b1eb874cd30e63c77afdc370b34595aca3bf1ae94ae0f99c5b36bd4"},
+		{"sparse-quiet", func() Config {
+			cfg := sparseTraceConfig()
+			cfg.ReadsPerSlot = 0.5 // quiet slots between read bursts
+			return cfg
+		}, "063de04574c0e5cf7d8590770683dec0b9cc061fe8e2f594c9478e96fbd5a8ff"},
+	}
+	for _, c := range cases {
+		for _, noskip := range []bool{false, true} {
+			cfg := c.cfg()
+			cfg.DisableSlotSkipping = noskip
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(res.Series.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("%s (noskip=%v): series digest %s, want %s", c.name, noskip, got, c.want)
+			}
+		}
 	}
 }
