@@ -301,34 +301,19 @@ func benchGrouped(g int, seed int64) (weights [][]float64, supply, capacity []in
 	return weights, supply, capacity
 }
 
-// BenchmarkMatchPlan measures the reusable match.Solver across its three
+// BenchmarkMatchPlan measures the reusable match.Solver across its two
 // tiers at several job-class counts:
 //
 //   - cold: alternating instances with different forbidden patterns, so
 //     every solve rebuilds the graph (into reused memory);
-//   - repair: alternating weight values over one fixed topology, so every
-//     solve overwrites arcs in place and re-runs SSP;
 //   - memo: the same instance every time, answered from the cached result.
 //
-// All three are allocation-free once warm; the tier counters are asserted
-// so the benchmark fails loudly if a tier stops being exercised.
+// Both are allocation-free once warm; the tier counters are asserted so
+// the benchmark fails loudly if a tier stops being exercised.
 func BenchmarkMatchPlan(b *testing.B) {
 	for _, g := range []int{8, 32, 96} {
 		wA, sA, cA := benchGrouped(g, 3)
 		wB, sB, cB := benchGrouped(g, 4) // different forbidden pattern: topology change
-		// Same topology as A, different weight values: arc-repair tier.
-		wR := make([][]float64, g)
-		for gi, row := range wA {
-			r := make([]float64, len(row))
-			for k, w := range row {
-				if match.IsForbidden(w) {
-					r[k] = w
-				} else {
-					r[k] = 1 - w/2
-				}
-			}
-			wR[gi] = r
-		}
 		tiers := []struct {
 			name string
 			run  func(sv *match.Solver, i int) error
@@ -343,15 +328,6 @@ func BenchmarkMatchPlan(b *testing.B) {
 				}
 				return err
 			}, func(st match.SolverStats) int { return st.ColdSolves }},
-			{"repair", func(sv *match.Solver, i int) error {
-				var err error
-				if i%2 == 0 {
-					_, err = sv.SolveGrouped(wA, sA, cA)
-				} else {
-					_, err = sv.SolveGrouped(wR, sA, cA)
-				}
-				return err
-			}, func(st match.SolverStats) int { return st.ArcRepairs }},
 			{"memo", func(sv *match.Solver, i int) error {
 				_, err := sv.SolveGrouped(wA, sA, cA)
 				return err

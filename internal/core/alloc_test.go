@@ -8,7 +8,7 @@ import (
 )
 
 // These tests pin down the zero-allocation contract of the per-slot hot
-// loop: once the simulator reaches steady state, step() must not allocate.
+// loop: once the simulator reaches steady state, runSlot must not allocate.
 // The scratch state sized in New (masks, view backings, the FFD engine,
 // the cover-cache key buffer) is reset in place each slot, never
 // reallocated; a regression here silently multiplies GC pressure by the
@@ -35,7 +35,7 @@ func driveUntilDrained(tb testing.TB, cfg Config) (*Simulator, int) {
 				sim.admit(sim.cfg.Trace[i])
 			}
 		}
-		sim.step(t)
+		sim.runSlot(t, maxSlot)
 		if t >= sim.lastArrival && len(sim.waiting) == 0 && len(sim.mandQueue) == 0 && len(sim.running) == 0 {
 			return sim, t + 1
 		}
@@ -50,14 +50,17 @@ func driveUntilDrained(tb testing.TB, cfg Config) (*Simulator, int) {
 // hit, mask-based power plan, read service and battery settlement all run
 // on reused scratch.
 func TestSlotStepDrainedAllocFree(t *testing.T) {
-	sim, slot := driveUntilDrained(t, tinyConfig())
+	cfg := tinyConfig()
+	cfg.DisableSlotSkipping = true // measure the full prefix on every slot
+	sim, slot := driveUntilDrained(t, cfg)
+	maxSlot := slot + 200
 	// One warm-up step past drain lets one-off transitions (final
 	// consolidation, cover-cache misses for the drained node set) happen
 	// outside the measured window.
-	sim.step(slot)
+	sim.runSlot(slot, maxSlot)
 	slot++
 	avg := testing.AllocsPerRun(100, func() {
-		sim.step(slot)
+		sim.runSlot(slot, maxSlot)
 		slot++
 	})
 	if avg > 0 {
@@ -88,6 +91,7 @@ func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
 		}
 	}
 	cfg.Trace = trace
+	cfg.DisableSlotSkipping = true // placement and the power plan on every slot
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,16 +99,17 @@ func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
 	for i := range trace {
 		sim.admit(trace[i])
 	}
+	const maxSlot = 400
 	// Warm up: first placements, node boots, spin-ups.
 	slot := 0
 	for ; slot < 10; slot++ {
-		sim.step(slot)
+		sim.runSlot(slot, maxSlot)
 	}
 	if len(sim.running) != len(trace) {
 		t.Fatalf("expected %d running jobs after warm-up, got %d", len(trace), len(sim.running))
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		sim.step(slot)
+		sim.runSlot(slot, maxSlot)
 		slot++
 	})
 	if avg > 0 {

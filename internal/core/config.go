@@ -81,42 +81,34 @@ type Config struct {
 	// MaxOverrunSlots bounds how far past the last arrival the simulation
 	// may run to drain jobs (default 336).
 	MaxOverrunSlots int
-	// RecordSeries enables the per-slot time series in the result.
+	// RecordSeries enables the per-slot time series in the result. The
+	// series records itself as one more observer, read off each slot's
+	// trace (teed after Observer when both are set).
 	RecordSeries bool
-	// FailureMTBFHours enables node-failure injection: each powered node
-	// crashes with probability slotHours/MTBF per slot. Zero disables.
-	// A crash evicts the node's jobs, degrades replica redundancy, and
-	// synthesizes Repair-class re-replication jobs. Deprecated in favour of
-	// Faults.CrashMTBFHours, which it folds into (same seeded draw
-	// sequence); kept so existing configs and scenarios keep working.
-	FailureMTBFHours float64
-	// NodeRepairSlots is how long a crashed node stays unavailable
-	// (default 24 when failures are enabled). Folds into
-	// Faults.CrashRepairSlots alongside FailureMTBFHours.
-	NodeRepairSlots int
 	// Faults is the declarative fault-injection schedule: the random crash
 	// process plus scheduled supply, battery, crash and forecast fault
 	// windows (see internal/fault). The zero value injects nothing.
 	Faults fault.Config
 	// Observer, when non-nil, receives one audit.SlotTrace per simulated
 	// slot and the run totals at completion (see internal/audit). The trace
-	// layer is free when nil: the simulator gathers nothing. An Observer
-	// with mutable state (the Auditor, the CSV sink) must not be shared by
-	// Configs run concurrently — give each run its own, or share only a
-	// goroutine-safe sink (audit.JSONL). When the Observer is an
-	// audit.RunObserver and its EndRun returns an error, Run fails with it —
-	// this is how the conservation auditor turns a bookkeeping bug into a
-	// hard run failure.
+	// layer is free when nil and RecordSeries is off: the simulator gathers
+	// nothing. An Observer with mutable state (the Auditor, the CSV sink)
+	// must not be shared by Configs run concurrently — give each run its
+	// own, or share only a goroutine-safe sink (audit.JSONL). When the
+	// Observer is an audit.RunObserver and its EndRun returns an error, Run
+	// fails with it — this is how the conservation auditor turns a
+	// bookkeeping bug into a hard run failure.
 	Observer audit.Observer
-	// DisableSlotSkipping forces the full per-slot pipeline on every slot,
-	// disabling the event-driven fast path the simulator otherwise uses on
-	// quiescent slots (empty queues, settled placement, no structural fault
-	// change). Skipping is bit-exact by construction — both paths share the
-	// same settlement code and RNG draw discipline — so this switch exists
-	// for verification (the SkipEquivalence suite, the -noskip escape hatch
-	// in gmexp/gmchaos) and benchmarking, not correctness. Skipping is also
-	// automatically disabled when the policy does not implement
-	// sched.QuiescentPlanner or when ModelUtilization is on.
+	// DisableSlotSkipping forces the full prefix (planning, placement, the
+	// power plan) on every slot, disabling the event-driven fast prefix the
+	// simulator otherwise uses on quiescent slots (empty queues, settled
+	// placement, no structural fault change). Skipping is bit-exact by
+	// construction — both prefixes feed the one shared slot tail — so this
+	// switch exists for verification (the SkipEquivalence suite, the
+	// -noskip escape hatch in gmexp/gmchaos) and benchmarking, not
+	// correctness. Skipping is also automatically disabled when the policy
+	// does not implement sched.QuiescentPlanner or when ModelUtilization is
+	// on.
 	DisableSlotSkipping bool
 	// ModelUtilization enables the VM utilization model: jobs draw CPU at
 	// their per-slot UtilAt factor instead of their full reservation.
@@ -216,12 +208,6 @@ func (c Config) Validate() error {
 	if c.MaxOverrunSlots < 0 {
 		return fmt.Errorf("core: negative overrun %d", c.MaxOverrunSlots)
 	}
-	if c.FailureMTBFHours < 0 {
-		return fmt.Errorf("core: negative failure MTBF %v", c.FailureMTBFHours)
-	}
-	if c.NodeRepairSlots < 0 {
-		return fmt.Errorf("core: negative repair duration %d", c.NodeRepairSlots)
-	}
 	if err := c.Faults.Validate(c.Cluster.TotalNodes()); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -257,18 +243,6 @@ func (c Config) ApplyDefaults() Config {
 	}
 	if c.MaxOverrunSlots == 0 {
 		c.MaxOverrunSlots = 336
-	}
-	if c.FailureMTBFHours > 0 && c.NodeRepairSlots == 0 {
-		c.NodeRepairSlots = 24
-	}
-	// Fold the legacy failure fields into the fault schedule; the engine
-	// reproduces their seeded draw sequence exactly, so configs written
-	// against either spelling behave identically.
-	if c.FailureMTBFHours > 0 && c.Faults.CrashMTBFHours == 0 {
-		c.Faults.CrashMTBFHours = c.FailureMTBFHours
-		if c.Faults.CrashRepairSlots == 0 {
-			c.Faults.CrashRepairSlots = c.NodeRepairSlots
-		}
 	}
 	return c
 }

@@ -9,7 +9,7 @@ import (
 // failureConfig returns a small scenario with aggressive failure injection.
 func failureConfig(mtbf float64) Config {
 	cfg := smallConfig()
-	cfg.FailureMTBFHours = mtbf
+	cfg.Faults.CrashMTBFHours = mtbf
 	return cfg
 }
 
@@ -86,7 +86,7 @@ func TestRepairReturnsCapacity(t *testing.T) {
 	// With a short repair time the cluster self-heals: an aggressive
 	// failure regime must still complete the overwhelming majority of jobs.
 	cfg := failureConfig(400)
-	cfg.NodeRepairSlots = 6
+	cfg.Faults.CrashRepairSlots = 6
 	res := run(t, cfg)
 	missRate := res.SLA.MissRate()
 	if missRate > 0.05 {
@@ -103,24 +103,24 @@ func TestNoFailuresWhenDisabled(t *testing.T) {
 
 func TestFailureConfigValidation(t *testing.T) {
 	cfg := smallConfig()
-	cfg.FailureMTBFHours = -1
+	cfg.Faults.CrashMTBFHours = -1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative MTBF should fail")
 	}
 	cfg = smallConfig()
-	cfg.FailureMTBFHours = 100
-	cfg.NodeRepairSlots = -1
+	cfg.Faults.CrashMTBFHours = 100
+	cfg.Faults.CrashRepairSlots = -1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative repair slots should fail")
 	}
 	// Default repair duration kicks in.
 	cfg = smallConfig()
-	cfg.FailureMTBFHours = 100
+	cfg.Faults.CrashMTBFHours = 100
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.cfg.NodeRepairSlots != 24 {
-		t.Fatalf("default repair slots = %d, want 24", sim.cfg.NodeRepairSlots)
+	if got := sim.faults.Config().CrashRepairSlots; got != 24 {
+		t.Fatalf("default repair slots = %d, want 24", got)
 	}
 }

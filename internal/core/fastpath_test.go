@@ -39,13 +39,14 @@ func sparseTraceConfig() Config {
 // run with the fast path enabled must produce a Result — including the
 // full per-slot time series — identical to a run with
 // DisableSlotSkipping, except for the FastSlots diagnostic, which must be
-// nonzero when skipping is on and zero when it is off.
+// nonzero when skipping is on and zero when it is off. Stepped live, the
+// two runs must also hold the same state after every slot.
 func TestFastForwardEquivalence(t *testing.T) {
 	cases := map[string]func() Config{
 		"sparse": sparseTraceConfig,
 		"sparse-mtbf": func() Config {
 			cfg := sparseTraceConfig()
-			cfg.FailureMTBFHours = 2000 // random crash process on the fast path
+			cfg.Faults.CrashMTBFHours = 2000 // random crash process on the fast path
 			return cfg
 		},
 	}
@@ -73,6 +74,55 @@ func TestFastForwardEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// Slot by slot, the simulator state itself — the cluster with every
+	// disk's power state — must match, not just the Result. A low read rate
+	// puts quiet slots right after busy ones, where a fast slot that
+	// skipped the slot reset would leave disks Active that the full path
+	// settles to Idle.
+	t.Run("live-state", func(t *testing.T) {
+		newLive := func(noskip bool) *Live {
+			cfg := sparseTraceConfig()
+			cfg.ReadsPerSlot = 0.5
+			cfg.DisableSlotSkipping = noskip
+			l, err := NewLive(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+		fast, full := newLive(false), newLive(true)
+		for !fast.Drained() {
+			slot := fast.NextSlot()
+			if err := fast.StepTo(slot); err != nil {
+				t.Fatal(err)
+			}
+			if err := full.StepTo(slot); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := fast.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := full.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fs.Cluster, ss.Cluster) {
+				t.Fatalf("slot %d: cluster state diverged between fast and full runs", slot)
+			}
+			ss.FastSlots = fs.FastSlots
+			if !reflect.DeepEqual(fs, ss) {
+				t.Fatalf("slot %d: live state diverged between fast and full runs", slot)
+			}
+		}
+		if !full.Drained() {
+			t.Fatal("full run did not drain with the fast run")
+		}
+		if fast.sim.fastSlots == 0 {
+			t.Fatal("fast path never engaged")
+		}
+	})
 }
 
 // TestFastPathDisabledForUtilizationModel pins the eligibility rule:
@@ -144,15 +194,16 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 	for i := range trace {
 		sim.admit(trace[i])
 	}
+	const maxSlot = 1000
 	slot := 0
 	for ; slot < 12; slot++ {
-		sim.step(slot)
+		sim.runSlot(slot, maxSlot)
 	}
 	if len(sim.waiting) != len(trace) {
 		t.Fatalf("expected all %d jobs still deferred, got %d waiting", len(trace), len(sim.waiting))
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		sim.step(slot)
+		sim.runSlot(slot, maxSlot)
 		slot++
 	})
 	if avg > 0 {
@@ -162,14 +213,14 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 		t.Fatalf("jobs left the waiting pool mid-measurement (%d left)", len(sim.waiting))
 	}
 	st := sim.planScratch.SolverStats()
-	if st.ColdSolves == 0 || st.ColdSolves+st.ArcRepairs+st.MemoHits < 100 {
+	if st.ColdSolves == 0 || st.ColdSolves+st.MemoHits < 100 {
 		t.Fatalf("matching solver not exercised as expected: %+v", st)
 	}
 }
 
-// TestFastStepAllocFree pins the fast kernel itself at zero allocations:
-// once a run is quiescent, each skipped slot costs only reads, settlement
-// and bookkeeping on reused scratch.
+// TestFastStepAllocFree pins fast slots at zero allocations: once a run is
+// quiescent, each slot that skips planning costs only the shared tail's
+// reads, settlement and bookkeeping on reused scratch.
 func TestFastStepAllocFree(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Trace = workload.Trace{{
@@ -182,18 +233,19 @@ func TestFastStepAllocFree(t *testing.T) {
 	}
 	sim.admit(cfg.Trace[0])
 	slot := 0
+	maxSlot := 8 + 300
 	for ; slot < 8; slot++ {
-		sim.step(slot)
+		sim.runSlot(slot, maxSlot)
 	}
-	maxSlot := slot + 300
 	if !sim.canFastForward(slot, maxSlot) {
 		t.Fatal("simulator not quiescent after warm-up")
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if !sim.canFastForward(slot, maxSlot) {
+		fast := sim.fastSlots
+		sim.runSlot(slot, maxSlot)
+		if sim.fastSlots != fast+1 {
 			t.Fatal("fast path disengaged mid-measurement")
 		}
-		sim.fastStep(slot)
 		slot++
 	})
 	if avg > 0 {

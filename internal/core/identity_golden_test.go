@@ -20,7 +20,7 @@ import (
 //
 // The scenario golden suite pins end-of-run aggregates; this test pins the
 // slot-by-slot *identity* trajectory, which is exactly what the in-place
-// queue-filter rewrites in step/place could corrupt without moving any
+// queue-filter rewrites in planSlot/place could corrupt without moving any
 // aggregate: the aliasing bug class where a retained *jobState in a
 // truncated backing array is overwritten by a later append. The golden was
 // generated before the zero-alloc refactor of the slot loop and must stay
@@ -98,8 +98,7 @@ func slotIdentityTrace(t *testing.T, cfg Config) string {
 	var b strings.Builder
 	maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
 	for slot := 0; slot <= maxSlot; slot++ {
-		s.engine.Run(float64(slot) * s.cfg.SlotHours)
-		s.step(slot)
+		s.runSlot(slot, maxSlot)
 		writeSlotIdentity(&b, slot, s)
 		if slot >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0 {
 			break

@@ -56,8 +56,8 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 			cfg.BatterySpec = battery.MustSpec(battery.LeadAcid)
 		}
 		if k.Failures {
-			cfg.FailureMTBFHours = 400
-			cfg.NodeRepairSlots = 8
+			cfg.Faults.CrashMTBFHours = 400
+			cfg.Faults.CrashRepairSlots = 8
 		}
 		cfg.ReadsPerSlot = 20
 		cfg.Seed = k.Seed

@@ -33,7 +33,7 @@ type jobState struct {
 	migrations  int
 	completedAt int // -1 until completed
 
-	// mark is transient per-slot scratch: step sets it on jobs the policy
+	// mark is transient per-slot scratch: planSlot sets it on jobs the policy
 	// selected (to suspend or to start) and clears it again while filtering
 	// the queues in the same slot. It replaces the per-slot ID-keyed map
 	// sets the slot loop used to allocate, and is never meaningful across
@@ -174,7 +174,7 @@ type Simulator struct {
 	// lists. Per-Simulator, so concurrent Runs never share it.
 	planScratch *sched.PlanScratch //gm:ephemeral reusable planning scratch, meaningless across slots
 
-	// Event-driven slot skipping (see canFastForward/fastRest). skipEnabled
+	// Event-driven slot skipping (see canFastForward and runSlot). skipEnabled
 	// is latched in New: the policy must guarantee a constant quiescent
 	// decision (sched.QuiescentPlanner), utilization modeling must be off,
 	// and Config.DisableSlotSkipping must be unset. quiescentDec is that
@@ -187,12 +187,13 @@ type Simulator struct {
 	// placement and power plan verbatim.
 	placementSettled bool
 	// diskPlanDirty means disk spin states deviate from keepMask (a cold
-	// read or I/O wake spun something up); the fast path reapplies the
+	// read or I/O wake spun something up); the fast prefix reapplies the
 	// cached mask exactly where applyPowerPlan would.
 	diskPlanDirty bool
 	// drawValid/spunValid guard cached quiet-slot aggregates: the cluster
 	// power draw with no busy disks, the spinning-disk and powered-node
-	// counts. Invalidated by any full step, wake, or mask reapplication.
+	// counts. Invalidated by the full prefix, a wake or a mask
+	// reapplication, and the draw also by a job completion.
 	drawValid    bool        //gm:ephemeral cache validity latch, starts invalid after restore
 	spunValid    bool        //gm:ephemeral cache validity latch, starts invalid after restore
 	cachedDrawW  units.Power //gm:ephemeral cached aggregate, recomputed when revalidated
@@ -201,7 +202,7 @@ type Simulator struct {
 	// fastHorizon is the first upcoming slot with a scheduled discrete
 	// event (arrival on the event heap, scheduled crash/storm, repair due);
 	// slots strictly before it may take the fast path. Recomputed lazily
-	// whenever a full step invalidates it.
+	// whenever the full prefix invalidates it.
 	fastHorizon int //gm:ephemeral recomputed lazily; restore deliberately re-stales it
 	fastSlots   int
 }
@@ -281,7 +282,14 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	if cfg.RecordSeries {
+		// The series is one more observer: each sample is read off the
+		// slot's trace.
 		s.series = &metrics.TimeSeries{}
+		if s.obs == nil {
+			s.obs = s.series
+		} else {
+			s.obs = audit.Tee(s.obs, s.series)
+		}
 	}
 	if s.faults = fault.NewEngine(cfg.Faults, cfg.Seed, cfg.SlotHours); s.faults != nil {
 		s.repairAt = make(map[int]int)
@@ -327,20 +335,138 @@ func (s *Simulator) Run() (*Result, error) {
 }
 
 // runSlot executes one slot: drain arrivals up to and including the slot
-// boundary, then take the fast or the full path. Shared verbatim by the
-// batch loop above and the steppable Live scheduler, which is what makes a
-// live run byte-identical to a batch run over the same submissions.
+// boundary, run the fault phase, take the full or the fast prefix, then
+// the one shared tail. Shared verbatim by the batch loop above and the
+// steppable Live scheduler, which is what makes a live run byte-identical
+// to a batch run over the same submissions.
+//
+// runSlot is the per-slot hot path (//gm:hotpath): trace assembly and any
+// other observer work must sit behind the single `s.obs != nil` check so
+// that a run without an observer pays nothing but that comparison.
+// gmlint's observerhot analyzer enforces this.
 func (s *Simulator) runSlot(t, maxSlot int) {
-	s.engine.Run(float64(t) * s.cfg.SlotHours)
-	// Quiescent slots take the event-driven fast path: per-slot work
-	// (reads, fault draws, energy settlement, SLA clocks, trace
-	// emission) still runs bit-identically, but planning, placement and
-	// the power plan — provably no-ops on a settled slot — are skipped.
-	if s.canFastForward(t, maxSlot) {
-		s.fastStep(t)
+	h := s.cfg.SlotHours
+	s.engine.Run(float64(t) * h)
+	// Eligibility first: canFastForward may recompute fastHorizon.
+	fast := s.canFastForward(t, maxSlot)
+
+	// 0. Fault injection: repairs and crashes (evictions, repair-job
+	// synthesis), then battery capacity fade — before the policy plans, so
+	// its view reflects the faded battery and the surviving fleet. A fleet
+	// change sends an otherwise quiescent slot through the full prefix.
+	faultChanged := s.faultPhase(t)
+	migsBefore := s.sla.Migrations
+
+	// 1–6. The prefix. A quiescent slot skips promotion, planning,
+	// placement and the power plan — provably no-ops under canFastForward's
+	// conditions — and only repairs the disk plan after a wake: reapplying
+	// the cached keep mask is exactly what applyPowerPlan would do, since
+	// node power states and every mask input are unchanged since the mask
+	// was computed.
+	var p slotPlan
+	if fast && !faultChanged {
+		p.dec = s.quiescentDec
+		if s.diskPlanDirty {
+			p.overhead = s.cluster.ApplyDiskPlanMask(s.keepMask)
+			s.drawValid = false
+			s.spunValid = false
+		}
+		s.fastSlots++
 	} else {
-		s.step(t)
+		p = s.planSlot(t)
 	}
+	overhead, migE := p.overhead, p.mig
+
+	// 7. Storage read traffic (may wake disks). It runs every slot, so the
+	// Poisson/Zipf streams advance identically on both prefixes.
+	rr := s.reads.Step(s.cluster)
+	overhead += rr.WakeEnergy
+	s.sla.ColdReads += rr.ColdReads
+	s.sla.UnservedReads += rr.Unserviceable
+
+	// 8. I/O-bound jobs keep disks on their node busy. A wake leaves spin
+	// states deviating from the keep mask, and the cached quiet-slot
+	// aggregates no longer describe the cluster.
+	ioE := s.markIOBusy()
+	overhead += ioE
+	woke := rr.ColdReads > 0 || ioE > 0
+	if woke {
+		s.drawValid = false
+		s.spunValid = false
+	}
+
+	// 8b. Under the utilization model, resolve physical overloads that
+	// over-commit provoked (forced migrations, throttling as last resort).
+	// Never reached on a fast slot: skipping is off under this model.
+	if s.cfg.ModelUtilization {
+		migE += s.resolveOverloads(t)
+	}
+
+	// 9. Power draw and energy settlement. With no disk busy the draw is
+	// the repeatable quiet-slot draw, cached until the fleet or the running
+	// set changes.
+	busy := s.cluster.AnyBusy()
+	var demandP units.Power
+	if busy || !s.drawValid {
+		var cpuUtil []float64
+		if s.cfg.ModelUtilization {
+			cpuUtil = s.actualUtilByNode(t)
+		} else {
+			cpuUtil = s.cpuUtilByNode()
+		}
+		demandP = s.cluster.SlotDrawUtil(cpuUtil)
+		if !busy {
+			s.cachedDrawW, s.drawValid = demandP, true
+		}
+	} else {
+		demandP = s.cachedDrawW
+	}
+	fl := s.settleSlot(t, demandP, overhead, migE)
+
+	// 10. Progress and completions. A completion shrinks the running set,
+	// which changes the draw and the next slot's placement.
+	jobsRunning := len(s.running)
+	completions := s.advanceJobs(t)
+	if completions > 0 {
+		s.drawValid = false
+	}
+
+	// 11. Degradation accounting, node/disk-hour integration, trace
+	// emission and slot reset.
+	if s.faults != nil {
+		s.trackDegradation(t)
+	}
+	if !s.spunValid {
+		spun, powered := 0, 0
+		for _, n := range s.cluster.Nodes() {
+			if !n.Powered {
+				continue
+			}
+			powered++
+			for _, d := range n.Disks {
+				if d.SpunUp() {
+					spun++
+				}
+			}
+		}
+		s.cachedSpun, s.cachedPowNds = spun, powered
+		s.spunValid = true
+	}
+	s.nodeHours += float64(s.cachedPowNds) * h
+	s.diskHours += float64(s.cachedSpun) * h
+	if s.obs != nil {
+		s.emitTrace(t, h, fl, p, jobsRunning, s.cachedSpun)
+	}
+	s.cluster.ResetSlot()
+
+	// 12. Latch the fast-path state from this slot's locals. The slot
+	// settled iff nothing moved: replanning an identical slot would
+	// reproduce the same (constant) quiescent decision, the same FFD
+	// packing and the same power plan, so the next slot may skip all three.
+	s.placementSettled = !faultChanged && p.promoted == 0 &&
+		len(p.dec.SuspendRunning) == 0 && p.attempts == 0 &&
+		s.sla.Migrations == migsBefore && completions == 0
+	s.diskPlanDirty = woke
 }
 
 // drained reports whether the run is complete after executing slot t: every
@@ -484,7 +610,7 @@ func (s *Simulator) stepFailures(t int) bool {
 	return changed
 }
 
-// faultPhase runs the per-slot fault work both step paths share: repairs,
+// faultPhase runs the per-slot fault work every slot shares: repairs,
 // crashes, battery capacity fade. The MTBF Bernoullis and the fade factor
 // are drawn/evaluated every simulated slot regardless of path, keeping the
 // fault randomness stream and battery state byte-identical with and without
@@ -553,34 +679,34 @@ func (s *Simulator) failedNodes() []bool {
 	return s.failedMask
 }
 
-// step executes one slot.
-//
-// step is the per-slot hot path (//gm:hotpath): trace assembly and any
-// other observer work must sit behind the single `s.obs != nil` check so
-// that a run without an observer pays nothing but that comparison.
-// gmlint's observerhot analyzer enforces this.
-func (s *Simulator) step(t int) {
-	// 0. Fault injection: repairs and crashes (evictions, repair-job
-	// synthesis), then battery capacity fade — before the policy plans, so
-	// its view reflects the faded battery and the surviving fleet.
-	changed := s.faultPhase(t)
-	s.stepRest(t, changed)
+// slotPlan is what a slot's prefix decided, carried into the shared tail:
+// the policy decision (the constant quiescent decision on a fast slot),
+// the counts the settledness latch and the trace read, and the prefix's
+// energy.
+type slotPlan struct {
+	dec      sched.Decision
+	promoted int          // deferrable jobs promoted at slack exhaustion
+	attempts int          // start attempts: the mandatory queue plus the policy's picks
+	started  int          // attempts seated by placement
+	mig      units.Energy // VM management: migrations plus suspensions
+	overhead units.Energy // transition energy of the power plan
 }
 
-// stepRest is the full per-slot pipeline after the fault phase: promotion,
-// planning, suspension, placement, power plan, reads, settlement, progress.
-// faultChanged feeds the settledness latch the fast path consults.
-func (s *Simulator) stepRest(t int, faultChanged bool) {
-	h := s.cfg.SlotHours
-	var overhead units.Energy
+// planSlot is the full prefix of a slot: promotion, planning, suspension,
+// start collection, placement and the power plan. Any of these may move
+// the fleet, so it invalidates the quiet-slot caches and the fast horizon.
+func (s *Simulator) planSlot(t int) slotPlan {
+	s.drawValid = false
+	s.spunValid = false
+	s.fastHorizon = t // stale: recompute before the next fast streak
 
 	// 1. Promote slack-exhausted deferrable jobs to mandatory.
-	promoted := 0
+	var p slotPlan
 	kept := s.waiting[:0]
 	for _, st := range s.waiting {
 		if st.job.SlackAt(t, st.remaining) <= 0 {
 			st.mandatory = true
-			promoted++
+			p.promoted++
 			s.mandQueue = append(s.mandQueue, st)
 		} else {
 			kept = append(kept, st)
@@ -590,8 +716,8 @@ func (s *Simulator) stepRest(t int, faultChanged bool) {
 
 	// 2. Ask the policy for a plan.
 	view := s.buildView(t)
-	dec := s.cfg.Policy.Plan(view)
-	if err := dec.Check(view); err != nil {
+	p.dec = s.cfg.Policy.Plan(view)
+	if err := p.dec.Check(view); err != nil {
 		panic(fmt.Sprintf("core: policy %s returned invalid decision: %v", s.cfg.Policy.Name(), err))
 	}
 
@@ -603,8 +729,8 @@ func (s *Simulator) stepRest(t int, faultChanged bool) {
 	// consumed: every marked job is non-mandatory (runDefRefs only lists
 	// those) and still in s.running, so the filter visits all of them.
 	var mgmtE units.Energy
-	if len(dec.SuspendRunning) > 0 {
-		for _, idx := range dec.SuspendRunning {
+	if len(p.dec.SuspendRunning) > 0 {
+		for _, idx := range p.dec.SuspendRunning {
 			s.runDefRefs[idx].mark = true
 		}
 		keptRunning := s.running[:0]
@@ -631,7 +757,7 @@ func (s *Simulator) stepRest(t int, faultChanged bool) {
 	// misdirect the marks. toStart is per-Simulator scratch: it only holds
 	// jobState pointers, never aliases the queue backing arrays, and stays
 	// valid while place() rewrites the queues below.
-	for _, idx := range dec.StartWaiting {
+	for _, idx := range p.dec.StartWaiting {
 		s.waitingRefs[idx].mark = true
 	}
 	toStart := append(s.toStart[:0], s.mandQueue...)
@@ -646,96 +772,26 @@ func (s *Simulator) stepRest(t int, faultChanged bool) {
 	}
 	s.waiting = keptWaiting
 	s.toStart = toStart
+	p.attempts = len(toStart)
 
 	// 5. Placement (returns migration energy; together with suspension
 	// energy it forms the VM-management overhead, accounted separately
 	// from transition overhead but part of the slot's load).
 	runningBefore := len(s.running)
-	migsBefore := s.sla.Migrations
-	migE := s.place(t, toStart, dec.Consolidate) + mgmtE
-	started := len(s.running) - runningBefore
+	p.mig = s.place(t, toStart, p.dec.Consolidate) + mgmtE
+	p.started = len(s.running) - runningBefore
 
 	// 6. Node power management + disk plan.
-	overhead += s.applyPowerPlan(dec.SpinDownDisks)
-
-	// 7. Storage read traffic (may wake disks).
-	rr := s.reads.Step(s.cluster)
-	overhead += rr.WakeEnergy
-	s.sla.ColdReads += rr.ColdReads
-	s.sla.UnservedReads += rr.Unserviceable
-
-	// 8. I/O-bound jobs keep disks on their node busy.
-	ioE := s.markIOBusy()
-	overhead += ioE
-
-	// 8b. Under the utilization model, resolve physical overloads that
-	// over-commit provoked (forced migrations, throttling as last resort).
-	if s.cfg.ModelUtilization {
-		migE += s.resolveOverloads(t)
-	}
-
-	// 9. Power draw and energy settlement.
-	var cpuUtil []float64
-	if s.cfg.ModelUtilization {
-		cpuUtil = s.actualUtilByNode(t)
-	} else {
-		cpuUtil = s.cpuUtilByNode()
-	}
-	demandP := s.cluster.SlotDrawUtil(cpuUtil)
-	fl := s.settleSlot(t, demandP, overhead, migE)
-
-	// 10. Progress and completions.
-	jobsRunning := len(s.running)
-	completions := s.advanceJobs(t)
-
-	// 11. Degradation accounting, node/disk-hour integration, series
-	// sample and slot reset.
-	if s.faults != nil {
-		s.trackDegradation(t)
-	}
-	spun := 0
-	for _, n := range s.cluster.Nodes() {
-		if !n.Powered {
-			continue
-		}
-		for _, d := range n.Disks {
-			if d.SpunUp() {
-				spun++
-			}
-		}
-	}
-	s.nodeHours += float64(s.cluster.PoweredNodeCount()) * h
-	s.diskHours += float64(spun) * h
-	if s.series != nil {
-		s.addSeries(t, fl, spun, jobsRunning)
-	}
-	if s.obs != nil {
-		s.emitTrace(t, h, fl, dec, promoted, started, jobsRunning, spun)
-	}
-	s.cluster.ResetSlot()
-
-	// 12. Latch the fast-path state. The slot settled iff nothing moved:
-	// replanning an identical slot would reproduce the same (constant)
-	// quiescent decision, the same FFD packing and the same power plan, so
-	// the fast path may skip all three. Wakes leave disk spin states
-	// deviating from keepMask; the caches are always stale after a full
-	// step.
-	s.placementSettled = !faultChanged && promoted == 0 &&
-		len(dec.SuspendRunning) == 0 && len(s.toStart) == 0 &&
-		s.sla.Migrations == migsBefore && completions == 0
-	s.diskPlanDirty = rr.ColdReads > 0 || ioE > 0
-	s.drawValid = false
-	s.spunValid = false
-	s.fastHorizon = t // stale: recompute before the next fast streak
+	p.overhead = s.applyPowerPlan(p.dec.SpinDownDisks)
+	return p
 }
 
 // settleSlot performs the slot's energy settlement — demand, overheads,
 // green supply (through any supply fault), battery discharge/charge with
 // blocked-window gates, losses, self-discharge — and feeds the next slot's
-// mandatory-power estimate. It is the single settlement implementation
-// shared by the full and fast paths: every accumulation happens here in one
-// fixed order, which is what makes slot skipping bit-exact (batching slots
-// algebraically would change float summation order).
+// mandatory-power estimate. Every slot settles here, one slot at a time, in
+// one fixed order, which is what makes slot skipping bit-exact (batching
+// slots algebraically would change float summation order).
 func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.Energy) slotFlows {
 	h := s.cfg.SlotHours
 	demandE := demandP.Over(h)
@@ -794,7 +850,7 @@ func (s *Simulator) settleSlot(t int, demandP units.Power, overhead, migE units.
 }
 
 // advanceJobs decrements remaining work on every running job and retires
-// completions, returning how many completed. Shared by both step paths.
+// completions, returning how many completed.
 func (s *Simulator) advanceJobs(t int) int {
 	completions := 0
 	keptRunning := s.running[:0]
@@ -816,27 +872,6 @@ func (s *Simulator) advanceJobs(t int) int {
 	return completions
 }
 
-// addSeries records the slot's time-series sample. Only called when
-// Config.RecordSeries is on.
-func (s *Simulator) addSeries(t int, fl slotFlows, spun, jobsRunning int) {
-	h := s.cfg.SlotHours
-	s.series.Add(metrics.SlotSample{
-		Slot:        t,
-		DemandW:     fl.load.Rate(h).Watts(),
-		GreenW:      fl.greenAvail.Rate(h).Watts(),
-		GreenUsedW:  fl.greenDirect.Rate(h).Watts(),
-		BatteryOutW: fl.batOut.Rate(h).Watts(),
-		BatteryInW:  fl.accepted.Rate(h).Watts(),
-		BrownW:      fl.brown.Rate(h).Watts(),
-		GreenLostW:  (fl.surplus - fl.accepted).Rate(h).Watts(),
-		BatterySoC:  s.bat.SoC(),
-		NodesOn:     s.cluster.PoweredNodeCount(),
-		DisksSpun:   spun,
-		JobsRunning: jobsRunning,
-		JobsWaiting: len(s.waiting) + len(s.mandQueue),
-	})
-}
-
 // canFastForward reports whether slot t may take the event-driven fast
 // path. The conditions jointly guarantee the full pipeline would be a
 // structural no-op this slot:
@@ -853,10 +888,11 @@ func (s *Simulator) addSeries(t int, fl slotFlows, spun, jobsRunning int) {
 //   - t is before the next discrete event (arrival heap, scheduled
 //     crash/storm, repair due), read off the event structures themselves.
 //
-// Everything the fast path cannot prove quiet it still executes per slot
-// (fault draws, reads, settlement), and the fault phase bails back to the
-// full pipeline on any structural change, so the horizon is a second line
-// of defense rather than load-bearing for correctness.
+// Everything the fast prefix cannot prove quiet still runs per slot in the
+// shared tail (reads, settlement), the fault phase runs on every slot, and
+// a structural fault change sends the slot through the full prefix, so the
+// horizon is a second line of defense rather than load-bearing for
+// correctness.
 func (s *Simulator) canFastForward(t, maxSlot int) bool {
 	if !s.skipEnabled || !s.placementSettled {
 		return false
@@ -897,128 +933,6 @@ func (s *Simulator) fastForwardHorizon(t, maxSlot int) int {
 		}
 	}
 	return horizon
-}
-
-// fastStep executes one quiescent slot. The fault phase still runs in full
-// (repairs, MTBF draws, fade) so the randomness stream stays aligned; if it
-// changes the fleet, the slot falls back to the complete pipeline.
-func (s *Simulator) fastStep(t int) {
-	if s.faultPhase(t) {
-		s.stepRest(t, true)
-		return
-	}
-	s.fastRest(t)
-	s.fastSlots++
-}
-
-// fastRest is the reduced per-slot kernel (//gm:hotpath) for a quiescent
-// slot: no promotion, no policy call, no placement, no power plan — those
-// are provably no-ops under canFastForward's conditions. What remains is
-// exactly the state the full pipeline would touch: disk-plan repair after a
-// wake, the read process (whose rng draws must advance every slot), I/O
-// busy marking, energy settlement via the shared settleSlot, job progress,
-// degradation tracking, the hour integrals, and per-slot series/trace
-// emission. Quiet-slot aggregates (cluster draw, spinning-disk and
-// powered-node counts) are cached between structural changes.
-func (s *Simulator) fastRest(t int) {
-	h := s.cfg.SlotHours
-	var overhead units.Energy
-
-	// Disk-plan repair: a cold read (or I/O wake) left spin states deviating
-	// from the cached keep mask. Reapplying the mask is exactly what
-	// applyPowerPlan would do — node power states and every mask input are
-	// unchanged since the mask was computed, so the full path would park the
-	// same disks and charge the same transition energy.
-	if s.diskPlanDirty {
-		overhead += s.cluster.ApplyDiskPlanMask(s.keepMask)
-		s.diskPlanDirty = false
-		s.drawValid = false
-		s.spunValid = false
-	}
-
-	// Read traffic, every slot: the Poisson/Zipf streams must advance
-	// exactly as on the full path.
-	rr := s.reads.Step(s.cluster)
-	overhead += rr.WakeEnergy
-	s.sla.ColdReads += rr.ColdReads
-	s.sla.UnservedReads += rr.Unserviceable
-
-	ioE := s.markIOBusy()
-	overhead += ioE
-
-	ioBusy := false
-	for _, st := range s.running {
-		if st.job.IOBound {
-			ioBusy = true
-			break
-		}
-	}
-	busy := rr.Reads > 0 || ioBusy
-	if rr.ColdReads > 0 || ioE > 0 {
-		// Disks woke: the plan needs reapplying next slot and the cached
-		// quiet aggregates no longer describe the cluster.
-		s.diskPlanDirty = true
-		s.drawValid = false
-		s.spunValid = false
-	}
-
-	var demandP units.Power
-	if busy || !s.drawValid {
-		demandP = s.cluster.SlotDrawUtil(s.cpuUtilByNode())
-		if !busy {
-			// No disk served I/O this slot, so this is the repeatable
-			// quiet-slot draw.
-			s.cachedDrawW = demandP
-			s.drawValid = true
-		}
-	} else {
-		demandP = s.cachedDrawW
-	}
-
-	fl := s.settleSlot(t, demandP, overhead, 0)
-
-	jobsRunning := len(s.running)
-	if s.advanceJobs(t) > 0 {
-		// The running set shrank: placement, draw and the policy view all
-		// change, so the next slot re-enters the full pipeline.
-		s.placementSettled = false
-		s.drawValid = false
-	}
-
-	if s.faults != nil {
-		s.trackDegradation(t)
-	}
-	if !s.spunValid {
-		spun, powered := 0, 0
-		for _, n := range s.cluster.Nodes() {
-			if !n.Powered {
-				continue
-			}
-			powered++
-			for _, d := range n.Disks {
-				if d.SpunUp() {
-					spun++
-				}
-			}
-		}
-		s.cachedSpun, s.cachedPowNds = spun, powered
-		s.spunValid = true
-	}
-	s.nodeHours += float64(s.cachedPowNds) * h
-	s.diskHours += float64(s.cachedSpun) * h
-	if s.series != nil {
-		s.addSeries(t, fl, s.cachedSpun, jobsRunning)
-	}
-	if s.obs != nil {
-		s.emitTrace(t, h, fl, s.quiescentDec, 0, 0, jobsRunning, s.cachedSpun)
-	}
-	if busy {
-		// ResetSlot settles busy disks back to their steady state. On a
-		// slot with no disk activity it is a whole-cluster no-op (only the
-		// unobservable Active/Idle distinction could differ; draw and
-		// coverage read SpunUp and the busy flag), so it is skipped.
-		s.cluster.ResetSlot()
-	}
 }
 
 // degradedNow reports whether slot t counts as degraded: crashed nodes
@@ -1077,7 +991,7 @@ type slotFlows struct {
 // when an observer is configured (//gm:observed — gmlint flags any call
 // site not guarded by a nil-observer check); the prev* snapshots it
 // maintains exist for no other purpose.
-func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision, promoted, started, jobsRunning, spun int) {
+func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, p slotPlan, jobsRunning, spun int) {
 	batAcct := s.bat.Account()
 	batDelta := batAcct.Sub(s.prevBat)
 	s.prevBat = batAcct
@@ -1116,13 +1030,13 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 		BatteryUsableWh:   usable,
 		BatterySoC:        s.bat.SoC(),
 		BatteryUnbounded:  unbounded,
-		Starts:            started,
+		Starts:            p.started,
 		Suspensions:       slaDelta.Suspensions,
 		Migrations:        slaDelta.Migrations,
-		Promotions:        promoted,
+		Promotions:        p.promoted,
 		Deferred:          len(s.waiting),
-		Consolidate:       dec.Consolidate,
-		SpinDownDisks:     dec.SpinDownDisks,
+		Consolidate:       p.dec.Consolidate,
+		SpinDownDisks:     p.dec.SpinDownDisks,
 		NodesOn:           s.cluster.PoweredNodeCount(),
 		DisksSpun:         spun,
 		NodeBoots:         boots - s.prevBoots,
@@ -1152,7 +1066,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, dec sched.Decision
 
 // buildView assembles the policy's view of the current slot. The Waiting
 // and RunningDeferrable slices (and the aligned waitingRefs/runDefRefs
-// jobState lookups step uses to resolve decision indices) live in
+// jobState lookups planSlot uses to resolve decision indices) live in
 // per-Simulator scratch reused across slots; policies are pure planners and
 // must not retain them past Plan.
 func (s *Simulator) buildView(t int) sched.View {

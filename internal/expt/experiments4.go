@@ -38,7 +38,7 @@ func runE14(p Params) ([]*metrics.Table, error) {
 					cfg.Green = greenFor(p, ReferenceAreaM2)
 					cfg.BatteryCapacityWh = units.Energy(40_000 * p.scale())
 					cfg.Policy = pol
-					cfg.FailureMTBFHours = mtbf
+					cfg.Faults.CrashMTBFHours = mtbf
 					return cfg
 				},
 			})

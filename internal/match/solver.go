@@ -11,8 +11,9 @@ type SolverStats struct {
 	// MemoHits counts calls answered from the cached previous solution
 	// because the instance was bit-identical.
 	MemoHits int
-	// ArcRepairs counts solves that reused the previous graph topology,
-	// overwriting only arc capacities and costs in place.
+	// ArcRepairs is always 0. The same-topology arc-repair tier it counted
+	// cost as much as a cold solve (SSP dominates both) and was removed;
+	// the field stays so existing stats consumers keep compiling.
 	ArcRepairs int
 	// ColdSolves counts full graph rebuilds (still into reused memory).
 	ColdSolves int
@@ -21,25 +22,21 @@ type SolverStats struct {
 // Solver is a reusable front-end to the FlowGrouped transportation solve.
 // It produces bit-identical results to FlowGrouped — same Count, Assigned,
 // and Weight, including floating-point rounding — while keeping repeat
-// solves allocation-free. Three tiers, cheapest first:
+// solves allocation-free. Two tiers:
 //
 //  1. memo: the instance equals the previous one bit-for-bit, so the cached
 //     result is returned without touching the graph;
-//  2. arc repair: the instance has the same edge topology (same forbidden
-//     pattern, same zero/non-zero supply and capacity pattern), so arc
-//     capacities and costs are overwritten in place and only the
-//     successive-shortest-paths run repeats;
-//  3. cold solve: the topology changed, so the graph is rebuilt — into the
-//     same backing arrays, so this too is allocation-free once warm.
+//  2. cold solve: anything else rebuilds the graph — into the same backing
+//     arrays, so this too is allocation-free once warm.
 //
 // Deliberately absent: warm-starting the flow itself. The grouped
 // transportation optimum is tie-degenerate (many flows share the optimal
 // value), and the simulator's byte-determinism contract pins the *specific*
 // flow SSP finds from a zero start; carrying flow across solves would pick
 // a different (equally optimal) solution and break run-twice
-// reproducibility. Every tier therefore re-runs SSP from zero flow; the
-// savings come from skipping validation-adjacent rebuild work and
-// allocation, not from reusing flow units. See docs/PROFILING.md.
+// reproducibility. Every cold solve therefore re-runs SSP from zero flow;
+// the savings come from skipping allocation, not from reusing flow units.
+// See docs/PROFILING.md.
 //
 // The returned GroupedResult's Count slices alias solver-owned memory and
 // are valid only until the next SolveGrouped call; callers must not retain
@@ -48,7 +45,7 @@ type SolverStats struct {
 type Solver struct {
 	stats SolverStats
 
-	// Previous-instance snapshot for the memo and repair tiers.
+	// Previous-instance snapshot for the memo tier.
 	hasPrev    bool
 	prevG      int
 	prevM      int
@@ -112,14 +109,8 @@ func (sv *Solver) SolveGrouped(weights [][]float64, supply []int, capacity []int
 		return sv.res, nil
 	}
 
-	bigW := maxW + 1
-	if sv.hasPrev && sv.sameTopology(weights, supply, capacity) {
-		sv.stats.ArcRepairs++
-		sv.repair(weights, supply, capacity, bigW)
-	} else {
-		sv.stats.ColdSolves++
-		sv.rebuild(weights, supply, capacity, bigW)
-	}
+	sv.stats.ColdSolves++
+	sv.rebuild(weights, supply, capacity, maxW+1)
 	sv.g.minCostMaxFlow(0, g+m+1)
 	if err := sv.settle(weights, g, m); err != nil {
 		sv.hasPrev = false
@@ -161,44 +152,6 @@ func (sv *Solver) sameInstance(weights [][]float64, supply, capacity []int) bool
 	return true
 }
 
-// sameTopology reports whether the instance induces exactly the same edge
-// set as the previous solve: an arc (gi, s) exists iff supply[gi] != 0,
-// weights[gi][s] is not Forbidden, and capacity[s] != 0; source and sink
-// edges exist iff the corresponding supply/capacity is non-zero. Equal
-// patterns on all three conditions imply equal edge sets, which makes the
-// in-place overwrite in repair reproduce the cold build byte-for-byte.
-func (sv *Solver) sameTopology(weights [][]float64, supply, capacity []int) bool {
-	g, m := len(weights), len(capacity)
-	if g != sv.prevG || m != sv.prevM {
-		return false
-	}
-	for i, s := range supply {
-		if (s == 0) != (sv.prevSupply[i] == 0) {
-			return false
-		}
-	}
-	for i, c := range capacity {
-		if (c == 0) != (sv.prevCap[i] == 0) {
-			return false
-		}
-	}
-	for gi, row := range weights {
-		if supply[gi] == 0 {
-			continue
-		}
-		base := gi * m
-		for s, w := range row {
-			if capacity[s] == 0 {
-				continue
-			}
-			if IsForbidden(w) != IsForbidden(sv.prevW[base+s]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // rebuild reconstructs the flow network from scratch into reused backing
 // arrays, mirroring FlowGrouped's construction loop exactly.
 func (sv *Solver) rebuild(weights [][]float64, supply, capacity []int, bigW float64) {
@@ -231,47 +184,6 @@ func (sv *Solver) rebuild(weights [][]float64, supply, capacity []int, bigW floa
 			sv.g.addEdge(1+g+s, sink, capacity[s], 0)
 		}
 	}
-}
-
-// repair replays the construction loop over the existing graph, overwriting
-// each arc's capacity, cost, and flow in place. Callable only after
-// sameTopology accepted the instance, which guarantees the replay visits
-// edges in exactly the order rebuild created them; the resulting edge array
-// is byte-identical to what a cold build would produce, so the SSP run that
-// follows is too. The adjacency lists and edgeIdx are untouched.
-func (sv *Solver) repair(weights [][]float64, supply, capacity []int, bigW float64) {
-	g, m := len(weights), len(capacity)
-	src, sink := 0, g+m+1
-	cursor := 0
-	for gi := 0; gi < g; gi++ {
-		if supply[gi] == 0 {
-			continue
-		}
-		cursor = sv.setEdge(cursor, src, 1+gi, supply[gi], 0)
-		for s, w := range weights[gi] {
-			if IsForbidden(w) || capacity[s] == 0 {
-				continue
-			}
-			edgeCap := supply[gi]
-			if capacity[s] < edgeCap {
-				edgeCap = capacity[s]
-			}
-			cursor = sv.setEdge(cursor, 1+gi, 1+g+s, edgeCap, bigW-w)
-		}
-	}
-	for s := 0; s < m; s++ {
-		if capacity[s] > 0 {
-			cursor = sv.setEdge(cursor, 1+g+s, sink, capacity[s], 0)
-		}
-	}
-}
-
-// setEdge overwrites the forward/residual edge pair at cursor, mirroring
-// addEdge's layout, and returns the advanced cursor.
-func (sv *Solver) setEdge(cursor, from, to, edgeCap int, cost float64) int {
-	sv.g.edges[cursor] = flowEdge{to: to, cap: edgeCap, cost: cost}
-	sv.g.edges[cursor+1] = flowEdge{to: from, cap: 0, cost: -cost}
-	return cursor + 2
 }
 
 // settle reads flows off the group->slot arcs into the reusable result,

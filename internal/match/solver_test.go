@@ -7,9 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-// randomGrouped draws a random grouped instance; with perturb it mutates a
-// previous instance in place-preserving ways that exercise the repair tier
-// (same topology, different values).
+// randomGrouped draws a random grouped instance.
 func randomGrouped(s *rng.Stream, g, m int) (weights [][]float64, supply, capacity []int) {
 	weights = make([][]float64, g)
 	supply = make([]int, g)
@@ -99,11 +97,12 @@ func TestSolverMemoTier(t *testing.T) {
 	}
 }
 
-func TestSolverRepairTier(t *testing.T) {
+func TestSolverSameTopologyRebuildsCold(t *testing.T) {
 	// Same topology, different weights/supplies/capacities each round: the
 	// forbidden pattern and the zero/non-zero patterns are fixed, values
-	// move. Every round after the first must take the repair tier and stay
-	// bit-identical to a cold FlowGrouped solve.
+	// move. This is the input sequence an in-place arc-repair tier would
+	// take; with two tiers every round is a cold rebuild into the reused
+	// graph, and each must stay bit-identical to a FlowGrouped solve.
 	s := rng.New(41, "solver-repair")
 	g, m := 4, 6
 	forb := make([][]bool, g)
@@ -140,11 +139,11 @@ func TestSolverRepairTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameGrouped(t, "repair", got, want)
+		assertSameGrouped(t, "same-topology", got, want)
 	}
 	st := sv.Stats()
-	if st.ColdSolves != 1 || st.ArcRepairs != 24 {
-		t.Fatalf("want 1 cold + 24 repairs, got %+v", st)
+	if st.ColdSolves != 25 || st.ArcRepairs != 0 || st.MemoHits != 0 {
+		t.Fatalf("want 25 cold solves, got %+v", st)
 	}
 }
 
@@ -213,7 +212,7 @@ func TestSolverAllocFreeWhenWarm(t *testing.T) {
 	s := rng.New(53, "solver-alloc")
 	g, m := 6, 24
 	// Two instances with different topologies, alternated to exercise the
-	// cold-rebuild tier; plus a value-only variant for the repair tier.
+	// cold-rebuild tier; plus a value-only variant of the first.
 	wA, supA, capA := randomGrouped(s, g, m)
 	wB, supB, capB := randomGrouped(s, g, m)
 	wC := make([][]float64, g)
@@ -238,8 +237,8 @@ func TestSolverAllocFreeWhenWarm(t *testing.T) {
 		solve(wC, supA, capA)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		solve(wA, supA, capA) // repair: same topology as wC, different values
-		solve(wC, supA, capA) // repair again
+		solve(wA, supA, capA) // cold rebuild: same topology as wC, different values
+		solve(wC, supA, capA) // cold rebuild again
 		solve(wB, supB, capB) // cold rebuild: different topology
 		solve(wB, supB, capB) // memo
 	})

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/audit"
 	"repro/internal/units"
 )
 
@@ -222,6 +223,29 @@ func (ts *TimeSeries) Add(s SlotSample) {
 		panic(fmt.Sprintf("metrics: out-of-order slot %d", s.Slot))
 	}
 	ts.Samples = append(ts.Samples, s)
+}
+
+// ObserveSlot makes the series an audit.Observer: it appends the sample
+// read off one slot's trace. Each W value is the slot's Wh flow divided by
+// the slot length, the same Energy.Rate the simulator would apply, so the
+// sample is bit-identical to one built from the settled flows directly.
+func (ts *TimeSeries) ObserveSlot(tr audit.SlotTrace) {
+	h := tr.SlotHours
+	ts.Add(SlotSample{
+		Slot:        tr.Slot,
+		DemandW:     units.Energy(tr.LoadWh).Rate(h).Watts(),
+		GreenW:      units.Energy(tr.GreenAvailWh).Rate(h).Watts(),
+		GreenUsedW:  units.Energy(tr.GreenDirectWh).Rate(h).Watts(),
+		BatteryOutW: units.Energy(tr.BatteryOutWh).Rate(h).Watts(),
+		BatteryInW:  units.Energy(tr.BatteryInWh).Rate(h).Watts(),
+		BrownW:      units.Energy(tr.BrownWh).Rate(h).Watts(),
+		GreenLostW:  units.Energy(tr.GreenLostWh).Rate(h).Watts(),
+		BatterySoC:  tr.BatterySoC,
+		NodesOn:     tr.NodesOn,
+		DisksSpun:   tr.DisksSpun,
+		JobsRunning: tr.JobsRunning,
+		JobsWaiting: tr.JobsWaiting,
+	})
 }
 
 // Column extracts a named column; recognised names are the SlotSample

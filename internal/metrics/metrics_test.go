@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/units"
 )
 
@@ -122,6 +123,34 @@ func TestTimeSeriesColumns(t *testing.T) {
 	}
 	if _, err := ts.Column("nope"); err == nil {
 		t.Error("unknown column should error")
+	}
+}
+
+func TestTimeSeriesObserveSlot(t *testing.T) {
+	var ts TimeSeries
+	var obs audit.Observer = &ts // the series is an audit observer
+	tr := audit.SlotTrace{
+		Slot: 3, SlotHours: 0.5,
+		LoadWh: 60, GreenAvailWh: 40, GreenDirectWh: 30,
+		BatteryOutWh: 10, BatteryInWh: 6, BrownWh: 20, GreenLostWh: 4,
+		BatterySoC: 0.25, NodesOn: 5, DisksSpun: 17,
+		JobsRunning: 2, JobsWaiting: 9,
+	}
+	obs.ObserveSlot(tr)
+	want := SlotSample{
+		Slot: 3, DemandW: 120, GreenW: 80, GreenUsedW: 60,
+		BatteryOutW: 20, BatteryInW: 12, BrownW: 40, GreenLostW: 8,
+		BatterySoC: 0.25, NodesOn: 5, DisksSpun: 17,
+		JobsRunning: 2, JobsWaiting: 9,
+	}
+	if len(ts.Samples) != 1 || ts.Samples[0] != want {
+		t.Fatalf("ObserveSlot recorded %+v, want %+v", ts.Samples, want)
+	}
+	// The W values are exactly Energy.Rate of the trace's Wh flows.
+	tr.Slot, tr.SlotHours, tr.LoadWh = 4, 1.0/3, 0.1
+	obs.ObserveSlot(tr)
+	if got, rate := ts.Samples[1].DemandW, units.Energy(0.1).Rate(1.0/3).Watts(); got != rate {
+		t.Fatalf("DemandW = %v, want Energy.Rate %v", got, rate)
 	}
 }
 

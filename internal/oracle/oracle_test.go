@@ -109,7 +109,7 @@ func rapSlots(cfg core.Config) int {
 
 func TestCrashFaultsVoidTheFloor(t *testing.T) {
 	cfg := testConfig()
-	cfg.FailureMTBFHours = 500
+	cfg.Faults.CrashMTBFHours = 500
 	rep, err := Solve(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,10 @@ type Scenario struct {
 	ReadsPerSlot float64 `json:"reads_per_slot"`
 	ZipfTheta    float64 `json:"zipf_theta,omitempty"`
 
-	// FailureMTBFHours and NodeRepairSlots enable failure injection.
+	// FailureMTBFHours and NodeRepairSlots enable the random node-crash
+	// process. Compile lowers them into Faults.CrashMTBFHours and
+	// Faults.CrashRepairSlots (repair defaults to 24 slots) unless the
+	// Faults block sets its own crash MTBF.
 	FailureMTBFHours float64 `json:"failure_mtbf_hours,omitempty"`
 	NodeRepairSlots  int     `json:"node_repair_slots,omitempty"`
 
@@ -192,10 +195,20 @@ func (s Scenario) Compile() (core.Config, error) {
 	cfg.Seed = s.Seed
 	cfg.RecordSeries = s.RecordSeries
 	cfg.DisableSlotSkipping = s.DisableSlotSkipping
-	cfg.FailureMTBFHours = s.FailureMTBFHours
-	cfg.NodeRepairSlots = s.NodeRepairSlots
 	if s.Faults != nil {
 		cfg.Faults = *s.Faults
+	}
+	// Lower the legacy crash fields into the fault schedule, which
+	// reproduces their seeded draw sequence exactly. Any non-zero MTBF is
+	// lowered, so a negative one fails the schedule's validation.
+	if s.FailureMTBFHours != 0 && cfg.Faults.CrashMTBFHours == 0 {
+		cfg.Faults.CrashMTBFHours = s.FailureMTBFHours
+		if cfg.Faults.CrashRepairSlots == 0 {
+			cfg.Faults.CrashRepairSlots = s.NodeRepairSlots
+		}
+	}
+	if s.NodeRepairSlots < 0 {
+		return core.Config{}, fmt.Errorf("scenario: negative node_repair_slots %d", s.NodeRepairSlots)
 	}
 
 	// Cluster.

@@ -134,12 +134,31 @@ func TestFailureFieldsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.FailureMTBFHours != 777 || cfg.NodeRepairSlots != 5 {
-		t.Fatalf("failure fields lost: %+v", cfg)
-	}
-	// The legacy fields fold into the fault schedule at compile time.
+	// The legacy fields lower into the fault schedule at compile time.
 	if cfg.Faults.CrashMTBFHours != 777 || cfg.Faults.CrashRepairSlots != 5 {
-		t.Fatalf("legacy failure fields not folded into fault schedule: %+v", cfg.Faults)
+		t.Fatalf("legacy failure fields not lowered into fault schedule: %+v", cfg.Faults)
+	}
+	// An explicit crash MTBF in the Faults block wins over the legacy one.
+	s.Faults = &fault.Config{CrashMTBFHours: 900}
+	if cfg, err = s.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Faults.CrashMTBFHours != 900 || cfg.Faults.CrashRepairSlots != 0 {
+		t.Fatalf("legacy fields overrode the fault schedule: %+v", cfg.Faults)
+	}
+}
+
+func TestNegativeLegacyFailureFieldsRejected(t *testing.T) {
+	s := Default()
+	s.WorkloadScale = 0.05
+	s.FailureMTBFHours = -1
+	if _, err := s.Compile(); err == nil {
+		t.Error("negative failure_mtbf_hours compiled without error")
+	}
+	s.FailureMTBFHours = 100
+	s.NodeRepairSlots = -1
+	if _, err := s.Compile(); err == nil {
+		t.Error("negative node_repair_slots compiled without error")
 	}
 }
 

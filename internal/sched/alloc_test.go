@@ -70,8 +70,8 @@ func busyMatchView(slot, stagger int, sc *PlanScratch) View {
 
 // TestGreenMatchPlanScratchEquivalent pins the PlanScratch contract: a
 // scratch-threaded Plan must return the same decision as a scratch-free
-// one, across repeated and varied views (memo, repair, and rebuild solver
-// tiers all included).
+// one, across repeated and varied views (memo and rebuild solver tiers
+// both included).
 func TestGreenMatchPlanScratchEquivalent(t *testing.T) {
 	g := GreenMatch{}
 	sc := &PlanScratch{}

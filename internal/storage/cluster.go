@@ -468,6 +468,12 @@ func (c *Cluster) MarkBusy(d *Disk) {
 	c.busy = append(c.busy, d)
 }
 
+// AnyBusy reports whether any disk was marked busy this slot. Only busy
+// disks draw ActiveW, so on a slot without one SlotDrawUtil returns the
+// same quiet-slot draw as long as spin states, powered nodes and CPU
+// utilization are unchanged.
+func (c *Cluster) AnyBusy() bool { return len(c.busy) > 0 }
+
 // ResetSlot clears per-slot disk activity and settles the steady state: a
 // busy spinning disk becomes Active, a quiet spinning disk Idle. Only the
 // disks marked busy this slot and those the previous reset left Active can
