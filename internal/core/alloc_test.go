@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sched"
@@ -19,29 +20,20 @@ import (
 // distribution doubling its backing array) still reads as 0 — which is
 // the contract: nothing may allocate per slot.
 
-// driveUntilDrained admits the trace (in submit order, as Run's event
-// engine would) and steps until every job has completed, returning the
-// simulator and the next slot index.
+// driveUntilDrained steps a new simulator through Run's slot loop until
+// every job has completed (runSlot admits the trace as its slots come due),
+// returning the simulator and the next slot index.
 func driveUntilDrained(tb testing.TB, cfg Config) (*Simulator, int) {
 	tb.Helper()
 	sim, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	maxSlot := sim.lastArrival + sim.cfg.MaxOverrunSlots
-	for t := 0; t <= maxSlot; t++ {
-		for i := range sim.cfg.Trace {
-			if sim.cfg.Trace[i].Submit == t {
-				sim.admit(sim.cfg.Trace[i])
-			}
-		}
-		sim.runSlot(t, maxSlot)
-		if t >= sim.lastArrival && len(sim.waiting) == 0 && len(sim.mandQueue) == 0 && len(sim.running) == 0 {
-			return sim, t + 1
-		}
+	sim.stepTo(math.MaxInt)
+	if !sim.drained {
+		tb.Fatalf("trace did not drain within %d slots", sim.next)
 	}
-	tb.Fatalf("trace did not drain within %d slots", maxSlot)
-	return nil, 0
+	return sim, sim.next
 }
 
 // TestSlotStepDrainedAllocFree asserts the drained steady state — the
@@ -96,11 +88,8 @@ func TestSlotStepBusyMandatoryAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range trace {
-		sim.admit(trace[i])
-	}
 	const maxSlot = 400
-	// Warm up: first placements, node boots, spin-ups.
+	// Warm up: admission at slot 0, first placements, node boots, spin-ups.
 	slot := 0
 	for ; slot < 10; slot++ {
 		sim.runSlot(slot, maxSlot)

@@ -191,9 +191,6 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range trace {
-		sim.admit(trace[i])
-	}
 	const maxSlot = 1000
 	slot := 0
 	for ; slot < 12; slot++ {
@@ -231,7 +228,6 @@ func TestFastStepAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.admit(cfg.Trace[0])
 	slot := 0
 	maxSlot := 8 + 300
 	for ; slot < 8; slot++ {

@@ -83,26 +83,21 @@ func TestSlotIdentityGolden(t *testing.T) {
 	}
 }
 
-// slotIdentityTrace replicates Run's slot loop and renders one line per
-// slot with the sorted job-identity sets.
+// slotIdentityTrace steps Run's slot loop one slot at a time and renders
+// one line per executed slot with the sorted job-identity sets.
 func slotIdentityTrace(t *testing.T, cfg Config) string {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range s.cfg.Trace {
-		j := s.cfg.Trace[i]
-		s.engine.ScheduleAt(float64(j.Submit)*s.cfg.SlotHours, 0, func() { s.admit(j) })
-	}
 	var b strings.Builder
-	maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
-	for slot := 0; slot <= maxSlot; slot++ {
-		s.runSlot(slot, maxSlot)
-		writeSlotIdentity(&b, slot, s)
-		if slot >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0 {
-			break
+	for !s.drained {
+		slot := s.next
+		if s.stepTo(slot); s.next == slot {
+			break // past the overrun budget
 		}
+		writeSlotIdentity(&b, slot, s)
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/simevent"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/units"
@@ -92,9 +92,18 @@ type Simulator struct {
 	cluster *storage.Cluster
 	bat     *battery.Battery
 	reads   *storage.ReadModel
-	engine  *simevent.Engine //gm:ephemeral event heap holds closures; rebuilt by New and re-armed from Pending
 
+	// arrivals holds the submitted jobs not yet admitted, ordered by
+	// admission slot and then by submission; arrivals[head:] is the
+	// unconsumed tail, which runSlot admits as each slot comes due.
+	arrivals    []arrival
+	head        int
 	lastArrival int
+	// next is the next slot to execute. drained latches the termination
+	// condition: once the run drains, further slots must not execute (they
+	// would emit trace lines a batch run never would).
+	next    int
+	drained bool
 
 	waiting   []*jobState // deferrable, not running, not promoted
 	mandQueue []*jobState // mandatory, not yet placed
@@ -200,11 +209,17 @@ type Simulator struct {
 	cachedSpun   int         //gm:ephemeral cached aggregate, recomputed when revalidated
 	cachedPowNds int         //gm:ephemeral cached aggregate, recomputed when revalidated
 	// fastHorizon is the first upcoming slot with a scheduled discrete
-	// event (arrival on the event heap, scheduled crash/storm, repair due);
+	// event (queued arrival, scheduled crash/storm, repair due);
 	// slots strictly before it may take the fast path. Recomputed lazily
 	// whenever the full prefix invalidates it.
 	fastHorizon int //gm:ephemeral recomputed lazily; restore deliberately re-stales it
 	fastSlots   int
+}
+
+// arrival is one submitted job awaiting admission at the start of slot.
+type arrival struct {
+	slot int
+	job  workload.Job
 }
 
 // New validates the config (after applying defaults) and builds a simulator.
@@ -236,12 +251,12 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	reads.Latencies = &stats.Distribution{}
 	s := &Simulator{
-		cfg:     cfg,
-		cluster: cluster,
-		bat:     bat,
-		reads:   reads,
-		engine:  simevent.NewEngine(),
-		obs:     cfg.Observer,
+		cfg:      cfg,
+		cluster:  cluster,
+		bat:      bat,
+		reads:    reads,
+		arrivals: make([]arrival, 0, len(cfg.Trace)),
+		obs:      cfg.Observer,
 	}
 	s.fullCover = cluster.MinimalCover()
 	onCover := make([]bool, cfg.Cluster.Nodes)
@@ -274,12 +289,7 @@ func New(cfg Config) (*Simulator, error) {
 		s.forecastBuf = make([]units.Power, 0, 24)
 	}
 	for _, j := range cfg.Trace {
-		if j.Submit > s.lastArrival {
-			s.lastArrival = j.Submit
-		}
-		if j.ID >= s.nextJobID {
-			s.nextJobID = j.ID + 1
-		}
+		s.submit(j)
 	}
 	if cfg.RecordSeries {
 		// The series is one more observer: each sample is read off the
@@ -313,32 +323,61 @@ func New(cfg Config) (*Simulator, error) {
 // goroutines, but distinct Simulators may Run concurrently — see the
 // concurrency contract on the package-level Run.
 func (s *Simulator) Run() (*Result, error) {
-	// Arrivals ride the event engine at PriArrival so a same-slot tick
-	// (PriTick) sees them.
-	for i := range s.cfg.Trace {
-		j := s.cfg.Trace[i]
-		s.engine.ScheduleAt(float64(j.Submit)*s.cfg.SlotHours, simevent.PriArrival, func() {
-			s.admit(j)
-		})
-	}
-
-	maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
-	slots := 0
-	for t := 0; t <= maxSlot; t++ {
-		s.runSlot(t, maxSlot)
-		slots = t + 1
-		if s.drained(t) {
-			break
-		}
-	}
-	return s.finalize(slots)
+	s.stepTo(math.MaxInt)
+	return s.finalize(s.next)
 }
 
-// runSlot executes one slot: drain arrivals up to and including the slot
-// boundary, run the fault phase, take the full or the fast prefix, then
-// the one shared tail. Shared verbatim by the batch loop above and the
-// steppable Live scheduler, which is what makes a live run byte-identical
-// to a batch run over the same submissions.
+// submit queues j for admission at its submit slot, or at the next slot to
+// execute if that one has passed. lastArrival tracks the unclamped submit
+// slot.
+func (s *Simulator) submit(j workload.Job) {
+	if j.Submit > s.lastArrival {
+		s.lastArrival = j.Submit
+	}
+	if j.ID >= s.nextJobID {
+		s.nextJobID = j.ID + 1
+	}
+	s.enqueue(max(j.Submit, s.next), j)
+}
+
+// enqueue inserts j into the arrival queue after every entry due at or
+// before slot, so jobs due at one slot are admitted in submission order.
+// In-order submissions (every trace) append.
+func (s *Simulator) enqueue(slot int, j workload.Job) {
+	if s.head == len(s.arrivals) {
+		// Everything queued so far is admitted: reuse the backing array.
+		s.arrivals, s.head = s.arrivals[:0], 0
+	}
+	q, i := s.arrivals, len(s.arrivals)
+	if i > s.head && q[i-1].slot > slot {
+		i = s.head + sort.Search(i-s.head, func(k int) bool { return q[s.head+k].slot > slot })
+	}
+	s.arrivals = slices.Insert(q, i, arrival{slot: slot, job: j})
+}
+
+// stepTo executes slots from s.next through target, stopping early once
+// the run drains or passes the overrun budget past the last arrival. It is
+// the one stepping loop behind Run, Live.StepTo and Live.Finalize; maxSlot
+// is recomputed every slot because a live Submit may move the last arrival
+// between calls.
+func (s *Simulator) stepTo(target int) {
+	for s.next <= target && !s.drained {
+		maxSlot := s.lastArrival + s.cfg.MaxOverrunSlots
+		if s.next > maxSlot {
+			return
+		}
+		t := s.next
+		s.runSlot(t, maxSlot)
+		s.next = t + 1
+		s.drained = t >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0
+	}
+}
+
+// runSlot executes one slot: admit the arrivals due at the slot boundary,
+// run the fault phase, take the full or the fast prefix, then the one
+// shared tail. Shared verbatim by Run and the steppable Live scheduler
+// through stepTo, which is what makes a live run byte-identical to a batch
+// run over the same submissions.
 //
 // runSlot is the per-slot hot path (//gm:hotpath): trace assembly and any
 // other observer work must sit behind the single `s.obs != nil` check so
@@ -346,7 +385,10 @@ func (s *Simulator) Run() (*Result, error) {
 // gmlint's observerhot analyzer enforces this.
 func (s *Simulator) runSlot(t, maxSlot int) {
 	h := s.cfg.SlotHours
-	s.engine.Run(float64(t) * h)
+	for s.head < len(s.arrivals) && s.arrivals[s.head].slot <= t {
+		s.admit(s.arrivals[s.head].job)
+		s.head++
+	}
 	// Eligibility first: canFastForward may recompute fastHorizon.
 	fast := s.canFastForward(t, maxSlot)
 
@@ -469,12 +511,6 @@ func (s *Simulator) runSlot(t, maxSlot int) {
 	s.diskPlanDirty = woke
 }
 
-// drained reports whether the run is complete after executing slot t: every
-// known arrival is in and all queues are empty.
-func (s *Simulator) drained(t int) bool {
-	return t >= s.lastArrival && len(s.waiting) == 0 && len(s.mandQueue) == 0 && len(s.running) == 0
-}
-
 // finalize closes the books after the last executed slot and assembles the
 // Result: straggler accounting, battery account folding, conservation
 // checks, and the observer's end-of-run totals.
@@ -547,7 +583,7 @@ func (s *Simulator) finalize(slots int) (*Result, error) {
 // field it carries (the Trace slice, a solar.Series supply, Cluster.Tiers)
 // is treated strictly read-only, and all mutable simulation state — the
 // storage.Cluster, battery.Battery, read model with its rng streams, the
-// event engine, job lifecycle records and the cover cache — is built fresh
+// arrival queue, job lifecycle records and the cover cache — is built fresh
 // per Simulator inside New. Policies and Forecasters are shared by value
 // too and must stay pure planners (all implementations in this repository
 // are stateless); a custom Policy or Forecaster with internal mutable
@@ -907,20 +943,15 @@ func (s *Simulator) canFastForward(t, maxSlot int) bool {
 }
 
 // fastForwardHorizon computes the first slot after t at which a scheduled
-// discrete event demands the full pipeline: the earliest pending event on
-// the simevent heap (arrivals), the earliest scheduled crash/storm in the
-// fault schedule, the earliest due repair. Window faults (supply derates,
-// battery blocks, forecast corruption) and the MTBF process never bound the
-// horizon — both are evaluated per-slot identically on the fast path.
+// discrete event demands the full pipeline: the head of the arrival queue,
+// the earliest scheduled crash/storm in the fault schedule, the earliest
+// due repair. Window faults (supply derates, battery blocks, forecast
+// corruption) and the MTBF process never bound the horizon — both are
+// evaluated per-slot identically on the fast path.
 func (s *Simulator) fastForwardHorizon(t, maxSlot int) int {
 	horizon := maxSlot + 1
-	if ev := s.engine.Peek(); ev != nil {
-		// First slot whose boundary drain executes the event: Run(u*h)
-		// fires everything with Time <= u*h.
-		slot := int(math.Ceil(ev.Time/s.cfg.SlotHours - 1e-9))
-		if slot < horizon {
-			horizon = slot
-		}
+	if s.head < len(s.arrivals) && s.arrivals[s.head].slot < horizon {
+		horizon = s.arrivals[s.head].slot
 	}
 	if s.faults != nil {
 		if next, ok := s.faults.NextCrashEventAfter(t); ok && next < horizon {
