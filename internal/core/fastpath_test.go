@@ -217,7 +217,10 @@ func TestSlotStepBusyDeferredAllocFree(t *testing.T) {
 
 // TestFastStepAllocFree pins fast slots at zero allocations: once a run is
 // quiescent, each slot that skips planning costs only the shared tail's
-// reads, settlement and bookkeeping on reused scratch.
+// reads, settlement and bookkeeping on reused scratch. The measured window
+// covers both draw paths: every other slot refills the quiet-draw cache,
+// invalidated here as a wake would, and the rest are warm-read slots that
+// resume a valid cache at their busy disks.
 func TestFastStepAllocFree(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Trace = workload.Trace{{
@@ -236,11 +239,23 @@ func TestFastStepAllocFree(t *testing.T) {
 	if !sim.canFastForward(slot, maxSlot) {
 		t.Fatal("simulator not quiescent after warm-up")
 	}
+	fills, resumes := 0, 0
 	avg := testing.AllocsPerRun(100, func() {
 		fast := sim.fastSlots
+		if slot%2 == 1 {
+			sim.drawValid = false
+		}
+		fill := !sim.drawValid || sim.diskPlanDirty
+		cold, reads := sim.sla.ColdReads, sim.cluster.DiskStatsTotal().Reads
 		sim.runSlot(slot, maxSlot)
 		if sim.fastSlots != fast+1 {
 			t.Fatal("fast path disengaged mid-measurement")
+		}
+		switch {
+		case fill || sim.sla.ColdReads > cold:
+			fills++
+		case sim.cluster.DiskStatsTotal().Reads > reads:
+			resumes++
 		}
 		slot++
 	})
@@ -249,6 +264,9 @@ func TestFastStepAllocFree(t *testing.T) {
 	}
 	if sim.fastSlots < 100 {
 		t.Fatalf("fast kernel ran %d slots; want >= 100", sim.fastSlots)
+	}
+	if fills == 0 || resumes == 0 {
+		t.Fatalf("measured %d refill and %d warm-read resume slots; want both", fills, resumes)
 	}
 }
 

@@ -182,8 +182,8 @@ type RepairSnap struct {
 // Config the snapshot is restored against: topology, placement, the
 // minimal cover, planner scratch and memo caches all rebuild to states
 // that produce bit-identical decisions (the solver-tier and cover-cache
-// equivalences the test suite gates elsewhere), and the quiet-slot
-// aggregate caches (drawValid/spunValid) recompute to identical values
+// equivalences the test suite gates elsewhere), and the cluster's
+// quiet-draw cache, guarded by drawValid, is refilled to identical values
 // from the restored cluster.
 type LiveSnapshot struct {
 	Next        int  `json:"next"`
@@ -381,8 +381,8 @@ func RestoreLive(cfg Config, snap *LiveSnapshot) (*Live, error) {
 	copy(s.keepMask, snap.KeepMask)
 	s.fastSlots = snap.FastSlots
 	// Stale horizon: the first fast-eligible slot recomputes it from the
-	// restored event structures. The quiet-slot aggregate caches likewise
-	// start invalid and recompute to identical values.
+	// restored event structures. The quiet-draw cache likewise starts
+	// invalid (drawValid false) and is refilled to identical values.
 	s.fastHorizon = snap.Next
 
 	s.waiting = unsnapJobs(snap.Waiting)

@@ -253,6 +253,73 @@ func TestLiveSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLiveRestoreAnywhereInFastStreak checkpoints a sparse spin-down run
+// after every fast slot, restores each checkpoint (through JSON) into a
+// fresh scheduler and finishes it: every restored Result must be
+// byte-identical to the batch run. A restored simulator starts with its
+// quiet-draw cache invalid and refills it from the restored cluster on its
+// first slot; a cache that claimed validity across a restore would settle
+// a stale draw in the middle of a fast streak.
+func TestLiveRestoreAnywhereInFastStreak(t *testing.T) {
+	for _, reads := range []float64{0.1, 0.5} {
+		t.Run(fmt.Sprintf("reads=%v", reads), func(t *testing.T) {
+			build := func() Config {
+				cfg := sparseTraceConfig()
+				cfg.ReadsPerSlot = reads
+				return cfg
+			}
+			want, err := json.Marshal(run(t, build()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := NewLive(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := 0
+			for !l.Drained() {
+				slot, fast := l.NextSlot(), l.sim.fastSlots
+				if err := l.StepTo(slot); err != nil {
+					t.Fatal(err)
+				}
+				if l.NextSlot() == slot {
+					t.Fatalf("slot %d: run stopped before draining", slot)
+				}
+				if l.sim.fastSlots == fast {
+					continue
+				}
+				snap, err := l.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := json.Marshal(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var decoded LiveSnapshot
+				if err := json.Unmarshal(blob, &decoded); err != nil {
+					t.Fatal(err)
+				}
+				r, err := RestoreLive(build(), &decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(liveFinalize(t, r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, got) {
+					t.Fatalf("restored after fast slot %d: Result differs from the batch run", slot)
+				}
+				cuts++
+			}
+			if cuts < 50 {
+				t.Fatalf("checkpointed after %d fast slots; want >= 50", cuts)
+			}
+		})
+	}
+}
+
 // TestLiveSnapshotWithPendingSubmissions pins that not-yet-admitted
 // submissions survive a snapshot: jobs submitted for future slots — a
 // far-future one before a nearer one, and one for an already executed slot,

@@ -199,15 +199,11 @@ type Simulator struct {
 	// read or I/O wake spun something up); the fast prefix reapplies the
 	// cached mask exactly where applyPowerPlan would.
 	diskPlanDirty bool
-	// drawValid/spunValid guard cached quiet-slot aggregates: the cluster
-	// power draw with no busy disks, the spinning-disk and powered-node
-	// counts. Invalidated by the full prefix, a wake or a mask
-	// reapplication, and the draw also by a job completion.
-	drawValid    bool        //gm:ephemeral cache validity latch, starts invalid after restore
-	spunValid    bool        //gm:ephemeral cache validity latch, starts invalid after restore
-	cachedDrawW  units.Power //gm:ephemeral cached aggregate, recomputed when revalidated
-	cachedSpun   int         //gm:ephemeral cached aggregate, recomputed when revalidated
-	cachedPowNds int         //gm:ephemeral cached aggregate, recomputed when revalidated
+	// drawValid guards the cluster's quiet-draw cache (storage.Cluster
+	// FillDraw): the draw terms with every disk quiet, the spinning-disk
+	// and powered-node counts. Invalidated by the full prefix, a wake, a
+	// mask reapplication and a job completion.
+	drawValid bool //gm:ephemeral cache validity latch, starts invalid after restore
 	// fastHorizon is the first upcoming slot with a scheduled discrete
 	// event (queued arrival, scheduled crash/storm, repair due);
 	// slots strictly before it may take the fast path. Recomputed lazily
@@ -411,7 +407,6 @@ func (s *Simulator) runSlot(t, maxSlot int) {
 		if s.diskPlanDirty {
 			p.overhead = s.cluster.ApplyDiskPlanMask(s.keepMask)
 			s.drawValid = false
-			s.spunValid = false
 		}
 		s.fastSlots++
 	} else {
@@ -427,14 +422,13 @@ func (s *Simulator) runSlot(t, maxSlot int) {
 	s.sla.UnservedReads += rr.Unserviceable
 
 	// 8. I/O-bound jobs keep disks on their node busy. A wake leaves spin
-	// states deviating from the keep mask, and the cached quiet-slot
-	// aggregates no longer describe the cluster.
+	// states deviating from the keep mask, and the quiet-draw cache no
+	// longer describes the cluster.
 	ioE := s.markIOBusy()
 	overhead += ioE
 	woke := rr.ColdReads > 0 || ioE > 0
 	if woke {
 		s.drawValid = false
-		s.spunValid = false
 	}
 
 	// 8b. Under the utilization model, resolve physical overloads that
@@ -444,26 +438,18 @@ func (s *Simulator) runSlot(t, maxSlot int) {
 		migE += s.resolveOverloads(t)
 	}
 
-	// 9. Power draw and energy settlement. With no disk busy the draw is
-	// the repeatable quiet-slot draw, cached until the fleet or the running
-	// set changes.
-	busy := s.cluster.AnyBusy()
-	var demandP units.Power
-	if busy || !s.drawValid {
-		var cpuUtil []float64
+	// 9. Power draw and energy settlement. The quiet-draw cache is
+	// refilled when invalid; the draw is then its quiet total, or on a
+	// slot with busy disks the sum resumed at the first busy node.
+	if !s.drawValid {
 		if s.cfg.ModelUtilization {
-			cpuUtil = s.actualUtilByNode(t)
+			s.cluster.FillDraw(s.actualUtilByNode(t))
 		} else {
-			cpuUtil = s.cpuUtilByNode()
+			s.cluster.FillDraw(s.cpuUtilByNode())
 		}
-		demandP = s.cluster.SlotDrawUtil(cpuUtil)
-		if !busy {
-			s.cachedDrawW, s.drawValid = demandP, true
-		}
-	} else {
-		demandP = s.cachedDrawW
+		s.drawValid = true
 	}
-	fl := s.settleSlot(t, demandP, overhead, migE)
+	fl := s.settleSlot(t, s.cluster.Draw(), overhead, migE)
 
 	// 10. Progress and completions. A completion shrinks the running set,
 	// which changes the draw and the next slot's placement.
@@ -478,26 +464,11 @@ func (s *Simulator) runSlot(t, maxSlot int) {
 	if s.faults != nil {
 		s.trackDegradation(t)
 	}
-	if !s.spunValid {
-		spun, powered := 0, 0
-		for _, n := range s.cluster.Nodes() {
-			if !n.Powered {
-				continue
-			}
-			powered++
-			for _, d := range n.Disks {
-				if d.SpunUp() {
-					spun++
-				}
-			}
-		}
-		s.cachedSpun, s.cachedPowNds = spun, powered
-		s.spunValid = true
-	}
-	s.nodeHours += float64(s.cachedPowNds) * h
-	s.diskHours += float64(s.cachedSpun) * h
+	spun, powered := s.cluster.DrawCounts()
+	s.nodeHours += float64(powered) * h
+	s.diskHours += float64(spun) * h
 	if s.obs != nil {
-		s.emitTrace(t, h, fl, p, jobsRunning, s.cachedSpun)
+		s.emitTrace(t, h, fl, p, jobsRunning, spun, powered)
 	}
 	s.cluster.ResetSlot()
 
@@ -730,10 +701,9 @@ type slotPlan struct {
 
 // planSlot is the full prefix of a slot: promotion, planning, suspension,
 // start collection, placement and the power plan. Any of these may move
-// the fleet, so it invalidates the quiet-slot caches and the fast horizon.
+// the fleet, so it invalidates the quiet-draw cache and the fast horizon.
 func (s *Simulator) planSlot(t int) slotPlan {
 	s.drawValid = false
-	s.spunValid = false
 	s.fastHorizon = t // stale: recompute before the next fast streak
 
 	// 1. Promote slack-exhausted deferrable jobs to mandatory.
@@ -1022,7 +992,7 @@ type slotFlows struct {
 // when an observer is configured (//gm:observed — gmlint flags any call
 // site not guarded by a nil-observer check); the prev* snapshots it
 // maintains exist for no other purpose.
-func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, p slotPlan, jobsRunning, spun int) {
+func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, p slotPlan, jobsRunning, spun, powered int) {
 	batAcct := s.bat.Account()
 	batDelta := batAcct.Sub(s.prevBat)
 	s.prevBat = batAcct
@@ -1068,7 +1038,7 @@ func (s *Simulator) emitTrace(t int, h float64, fl slotFlows, p slotPlan, jobsRu
 		Deferred:          len(s.waiting),
 		Consolidate:       p.dec.Consolidate,
 		SpinDownDisks:     p.dec.SpinDownDisks,
-		NodesOn:           s.cluster.PoweredNodeCount(),
+		NodesOn:           powered,
 		DisksSpun:         spun,
 		NodeBoots:         boots - s.prevBoots,
 		NodeShutdowns:     shutdowns - s.prevShutdowns,

@@ -162,8 +162,26 @@ type Cluster struct {
 	// Active disk is in active, so ResetSlot needs to touch only these
 	// two lists. Both are sized to the disk count at construction and
 	// never grow past it.
-	busy   []*Disk //gm:ephemeral per-slot scratch, always empty at slot boundaries
-	active []*Disk //gm:ephemeral derived from disk states, rebuilt by RestoreState
+	busy   []*Disk   //gm:ephemeral per-slot scratch, always empty at slot boundaries
+	active []*Disk   //gm:ephemeral derived from disk states, rebuilt by RestoreState
+	draw   drawCache //gm:ephemeral derived from power, spin and utilization state, refilled by the caller after restore
+}
+
+// drawCache is the quiet-draw cache behind FillDraw, Draw and DrawCounts.
+// The caller owns its validity: it refills the cache after any change to
+// power, spin or utilization state.
+type drawCache struct {
+	// terms holds the powered nodes' draw terms node-major, each server
+	// term followed by its disks in slot order, every disk drawn as if
+	// quiet. at maps a node to its server term's index in terms (-1 when
+	// the node is unpowered), and before to the running total ahead of it.
+	terms  []units.Power
+	at     []int
+	before []units.Power
+	// quiet is the sum of terms; spun and powered count the spinning
+	// disks on powered nodes and the powered nodes.
+	quiet         units.Power
+	spun, powered int
 }
 
 // NewCluster builds a cluster with every node powered on, all disks idle,
@@ -200,6 +218,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		nodes:  make([]*Node, cfg.Nodes),
 		busy:   make([]*Disk, 0, total),
 		active: make([]*Disk, 0, total),
+		draw: drawCache{
+			terms:  make([]units.Power, 0, cfg.Nodes+total),
+			at:     make([]int, cfg.Nodes),
+			before: make([]units.Power, cfg.Nodes),
+		},
 	}
 	// The disks live in one node-major slab that every Node.Disks points
 	// into, so the per-slot scans walk contiguous memory.
@@ -422,39 +445,85 @@ func (c *Cluster) PoweredNodes() []int {
 	return out
 }
 
-// SlotDrawUtil returns the cluster's power draw this slot, given per-node
-// CPU utilization in [0,1] indexed by node id, so per-slot callers can reuse
-// one buffer. A short slice reads as zero utilization for the missing tail.
-// Powered-off nodes draw nothing. The sum runs node-major: each node's
-// server term, then its disks in slot order.
-func (c *Cluster) SlotDrawUtil(cpuUtil []float64) units.Power {
+// FillDraw fills the quiet-draw cache from the current state, given
+// per-node CPU utilization in [0,1] indexed by node id (a short slice reads
+// as zero utilization for the missing tail): every powered node's server
+// term, then its disks in slot order, each disk drawn as Idle if spinning
+// and Standby if not, whatever its busy flag. Powered-off nodes draw
+// nothing. One walk also counts the powered nodes and the spinning disks
+// on them. The cache stays valid until power, spin or utilization state
+// changes; busy marks and ResetSlot leave it valid.
+func (c *Cluster) FillDraw(cpuUtil []float64) {
+	dc := &c.draw
+	terms := dc.terms[:cap(dc.terms)]
 	var total units.Power
+	i, spun, powered := 0, 0, 0
 	for _, n := range c.nodes {
 		if !n.Powered {
+			dc.at[n.ID] = -1
 			continue
 		}
+		powered++
 		u := 0.0
 		if n.ID < len(cpuUtil) {
 			u = cpuUtil[n.ID]
 		}
-		total += n.Server.Draw(u)
+		dc.at[n.ID], dc.before[n.ID] = i, total
+		w := n.Server.Draw(u)
+		terms[i] = w
+		total += w
+		i++
 		for _, d := range n.Disks {
-			total += d.SlotDraw()
+			// Disk.quietDraw, inlined to share the spin test with the
+			// count.
+			w := d.Profile.StandbyW
+			if d.SpunUp() {
+				w = d.Profile.IdleW
+				spun++
+			}
+			terms[i] = w
+			total += w
+			i++
+		}
+	}
+	dc.terms, dc.quiet = terms[:i], total
+	dc.spun, dc.powered = spun, powered
+}
+
+// Draw returns the cluster's power draw this slot from the quiet-draw
+// cache: the quiet total when no disk is busy. Otherwise it patches the
+// busy disks' terms, resumes the sum at the first node with a busy disk
+// from the running total cached ahead of it, and restores the quiet
+// terms. The sum runs node-major over the same terms in the same order
+// as a full walk, so it rounds identically.
+func (c *Cluster) Draw() units.Power {
+	dc := &c.draw
+	first := len(c.nodes)
+	for _, d := range c.busy {
+		if at := dc.at[d.ID.Node]; at >= 0 {
+			dc.terms[at+1+d.ID.Disk] = d.SlotDraw()
+			first = min(first, d.ID.Node)
+		}
+	}
+	if first == len(c.nodes) {
+		return dc.quiet
+	}
+	total := dc.before[first]
+	for _, w := range dc.terms[dc.at[first]:] {
+		total += w
+	}
+	for _, d := range c.busy {
+		if at := dc.at[d.ID.Node]; at >= 0 {
+			dc.terms[at+1+d.ID.Disk] = d.quietDraw()
 		}
 	}
 	return total
 }
 
-// PoweredNodeCount returns the number of powered-on nodes without
-// materializing the id list PoweredNodes builds.
-func (c *Cluster) PoweredNodeCount() int {
-	count := 0
-	for _, n := range c.nodes {
-		if n.Powered {
-			count++
-		}
-	}
-	return count
+// DrawCounts returns the spinning disks on powered nodes and the powered
+// nodes, as counted by the last FillDraw.
+func (c *Cluster) DrawCounts() (spunDisks, poweredNodes int) {
+	return c.draw.spun, c.draw.powered
 }
 
 // MarkBusy records that d serves I/O this slot. A disk enters the busy
@@ -467,12 +536,6 @@ func (c *Cluster) MarkBusy(d *Disk) {
 	d.busy = true
 	c.busy = append(c.busy, d)
 }
-
-// AnyBusy reports whether any disk was marked busy this slot. Only busy
-// disks draw ActiveW, so on a slot without one SlotDrawUtil returns the
-// same quiet-slot draw as long as spin states, powered nodes and CPU
-// utilization are unchanged.
-func (c *Cluster) AnyBusy() bool { return len(c.busy) > 0 }
 
 // ResetSlot clears per-slot disk activity and settles the steady state: a
 // busy spinning disk becomes Active, a quiet spinning disk Idle. Only the

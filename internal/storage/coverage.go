@@ -4,30 +4,11 @@ import (
 	"repro/internal/units"
 )
 
-// CoverageOK reports whether the given set of spinning disks covers every
-// object, i.e. each object has at least one replica on a disk in the set
-// whose node is powered. Only objects with at least one replica are
-// considered (an empty cluster is trivially covered).
-func (c *Cluster) CoverageOK(active map[DiskID]bool) bool {
-	for obj := range c.placement {
-		covered := false
-		for _, id := range c.placement[obj] {
-			if active[id] && c.nodes[id.Node].Powered {
-				covered = true
-				break
-			}
-		}
-		if !covered && len(c.placement[obj]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SpinningCoverageOK is CoverageOK over the cluster's current state: every
-// object has a replica on a spun-up disk of a powered node. It reads the
-// disk and node states directly instead of a materialized active set, so
-// per-slot callers allocate nothing.
+// SpinningCoverageOK reports whether the cluster's current state covers
+// every object: each object with at least one replica has one on a spun-up
+// disk of a powered node. It reads the disk and node states directly
+// instead of a materialized active set, so per-slot callers allocate
+// nothing.
 func (c *Cluster) SpinningCoverageOK() bool {
 	// Flatten the spin state into a mask (node*DisksPerNode+disk) first:
 	// the per-replica test is then one byte load instead of a chase

@@ -189,6 +189,27 @@ func TestGreedyCoverMatchesReference(t *testing.T) {
 	}
 }
 
+// CoverageOK is the map-based reference SpinningCoverageOK must match:
+// whether the given set of spinning disks covers every object, i.e. each
+// object has at least one replica on a disk in the set whose node is
+// powered. Only objects with at least one replica are considered (an empty
+// cluster is trivially covered).
+func (c *Cluster) CoverageOK(active map[DiskID]bool) bool {
+	for obj := range c.placement {
+		covered := false
+		for _, id := range c.placement[obj] {
+			if active[id] && c.nodes[id.Node].Powered {
+				covered = true
+				break
+			}
+		}
+		if !covered && len(c.placement[obj]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSpinningCoverageMatchesCoverageOK(t *testing.T) {
 	r := rng.New(2, "coverage-spinning")
 	verdicts := map[bool]int{}

@@ -97,11 +97,17 @@ func (d *Disk) SpinUp() units.Energy {
 // rather than through DiskProfile.Draw, which copies the profile and does
 // not inline.
 func (d *Disk) SlotDraw() units.Power {
+	if d.busy && d.SpunUp() {
+		return d.Profile.ActiveW
+	}
+	return d.quietDraw()
+}
+
+// quietDraw is SlotDraw with the busy flag ignored: the term the cluster's
+// quiet-draw cache holds for the disk.
+func (d *Disk) quietDraw() units.Power {
 	if !d.SpunUp() {
 		return d.Profile.StandbyW
-	}
-	if d.busy {
-		return d.Profile.ActiveW
 	}
 	return d.Profile.IdleW
 }
